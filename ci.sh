@@ -26,6 +26,12 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> benchmark tests (unit tests + manifest check)"
+# benchmark/ is its own workspace that imports the crates' public
+# APIs; building and testing it here keeps an API change from
+# silently breaking the benchmark.
+cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
+
 echo "==> figures smoke run (parallel runtime, fresh cache)"
 # Smoke artifacts live under target/ so a CI pass leaves the working
 # tree clean. The spec pair appends the 3D sweep rows to the legacy

@@ -21,9 +21,10 @@ use t3_gpu::gemm::GemmGrid;
 use t3_mem::arbiter::ComputeFirstPolicy;
 use t3_mem::controller::{MemoryController, StreamId};
 use t3_mem::llc::Llc;
+use t3_sim::clock::Clock;
 use t3_sim::config::SystemConfig;
 use t3_sim::stats::{TrafficClass, TrafficStats};
-use t3_sim::Cycle;
+use t3_sim::{Cycle, SimMode};
 
 /// Options for the fused AG→GEMM run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,9 +114,11 @@ pub fn run_fused_ag_gemm(sys: &SystemConfig, grid: GemmGrid, opts: &AgFuseOption
     let mut announced: u64 = 0; // received chunks whose writes are enqueued
     let mut scheduling_triggers = 0u64;
     let mut gemm_done = false;
-    let mut now: Cycle = 0;
+    // Arrivals and stage gates are polled every cycle: never quiescent.
+    let mut clock = Clock::new(SimMode::Stepped);
 
     loop {
+        let now = clock.now();
         mc.step(now, None);
         // Mirrored incoming AG writes enter the comm stream on arrival.
         while announced + 1 < n && arrival_of_received(announced + 1) <= now {
@@ -157,12 +160,11 @@ pub fn run_fused_ag_gemm(sys: &SystemConfig, grid: GemmGrid, opts: &AgFuseOption
         if gemm_done && announced == n - 1 && mc.is_idle() {
             break;
         }
-        now += 1;
-        assert!(now < 4_000_000_000, "fused AG-GEMM failed to converge");
+        clock.advance(false, || None);
     }
 
     AgFuseResult {
-        cycles: now,
+        cycles: clock.now(),
         stats: mc.stats().clone(),
         scheduling_triggers,
     }
@@ -240,6 +242,22 @@ mod tests {
         );
         let fused = run_fused_ag_gemm(&s, grid_of(&s), &AgFuseOptions::default());
         assert!(fused.cycles as f64 >= gemm.cycles as f64 * 0.95);
+    }
+
+    #[test]
+    fn fused_runs_are_pinned() {
+        let s = sys();
+        let stats = "TrafficStats { bytes: [20992256, 16777216, 0, 0, 0, 0, 14680064] }";
+        for (arrival_aligned, cycles) in [(true, 345_038), (false, 462_481)] {
+            let r = run_fused_ag_gemm(&s, grid_of(&s), &AgFuseOptions { arrival_aligned });
+            assert_eq!(
+                format!("{r:?}"),
+                format!(
+                    "AgFuseResult {{ cycles: {cycles}, stats: {stats}, scheduling_triggers: 7 }}"
+                ),
+                "arrival_aligned={arrival_aligned}"
+            );
+        }
     }
 
     #[test]

@@ -27,11 +27,9 @@
 //! configured arbitration policy — this is where T3 and T3-MCA differ
 //! (Sections 4.5, 6.1.2, 6.1.3).
 
-use std::collections::VecDeque;
-use std::sync::OnceLock;
-
 use crate::addrmap::{ChunkRoute, OutputConfig};
-use crate::tracker::{Tracker, TrackerConfig, WfId};
+use crate::kernel::{count_nonempty_wfs, record_local_stores, split_at_chunks, ChunkState, Feed};
+use crate::tracker::{Tracker, TrackerConfig};
 use t3_gpu::engine::{GemmEngine, GemmEvent};
 use t3_gpu::gemm::GemmGrid;
 use t3_mem::arbiter::{ArbitrationPolicy, ComputeFirstPolicy, McaPolicy, RoundRobinPolicy};
@@ -39,20 +37,14 @@ use t3_mem::controller::{MemoryController, StreamId};
 use t3_mem::llc::Llc;
 use t3_mem::nmc::ReductionSubstrate;
 use t3_net::dma::{DmaCommand, DmaEngine};
+use t3_net::link::Link;
 use t3_net::ring::Ring;
+use t3_sim::clock::Clock;
 use t3_sim::config::SystemConfig;
 use t3_sim::stats::{TrafficClass, TrafficStats};
 use t3_sim::timeseries::TimeSeries;
 use t3_sim::{Bytes, Cycle, SimMode};
 use t3_trace::{reborrow, Event, Instruments};
-
-/// One-time lookup of the `T3_TRACE` debug-print switch. The cycle
-/// loops must never call `std::env::var` (it takes a process-global
-/// lock); the flag cannot change mid-run anyway.
-fn debug_trace() -> bool {
-    static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var("T3_TRACE").is_ok())
-}
 
 /// Arbitration policy selection for a fused run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,7 +60,8 @@ pub enum PolicyChoice {
 }
 
 impl PolicyChoice {
-    fn build(self, sys: &SystemConfig) -> Box<dyn ArbitrationPolicy> {
+    /// The arbitration policy this choice selects.
+    pub(crate) fn build(self, sys: &SystemConfig) -> Box<dyn ArbitrationPolicy> {
         match self {
             PolicyChoice::RoundRobin => Box::new(RoundRobinPolicy::new()),
             PolicyChoice::ComputeFirst => Box::new(ComputeFirstPolicy::new()),
@@ -91,7 +84,7 @@ pub struct FusedOptions {
     pub stagger: bool,
     /// Record a DRAM-traffic time series with this bucket width.
     pub timeseries_bucket: Option<Cycle>,
-    /// How the engine loop advances time. Both modes are
+    /// How the engine loop's [`Clock`] advances time. Both modes are
     /// byte-identical; [`SimMode::Stepped`] is the reference path kept
     /// for the equivalence tests.
     pub mode: SimMode,
@@ -106,15 +99,6 @@ impl Default for FusedOptions {
             timeseries_bucket: None,
             mode: SimMode::default(),
         }
-    }
-}
-
-/// Minimum of two optional event cycles (`None` = no event).
-pub(crate) fn min_event(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (x, None) => x,
-        (None, y) => y,
     }
 }
 
@@ -139,18 +123,6 @@ pub struct FusedRunResult {
 /// stores; below that, the tag is the DMA'd chunk's position.
 const TAG_REMOTE: u64 = 1 << 32;
 
-#[derive(Debug)]
-struct ChunkState {
-    wg_bounds: (u64, u64),
-    bytes: Bytes,
-    route: ChunkRoute,
-    triggered_wfs: usize,
-    expected_wfs: usize,
-    dma_fired: bool,
-    incoming_announced: Bytes,
-    feed_built: bool,
-}
-
 /// Mirror traffic scheduled to enter the comm stream at `at`.
 #[derive(Debug, Clone, Copy)]
 struct PendingIncoming {
@@ -159,14 +131,46 @@ struct PendingIncoming {
     bytes: Bytes,
 }
 
-/// A wavefront region in the incoming-update attribution FIFO.
-#[derive(Debug, Clone, Copy)]
-struct FeedEntry {
+/// Schedules the mirrored incoming bytes that raise `position`'s
+/// cumulative announcement (`announced`) to `target`, arriving at `at`.
+fn mirror_incoming(
+    pending: &mut Vec<PendingIncoming>,
+    announced: &mut Bytes,
+    at: Cycle,
     position: usize,
-    wf: WfId,
-    addr: u64,
-    region_bytes: Bytes,
-    consumed_bytes: Bytes,
+    target: Bytes,
+) {
+    let bytes = target.saturating_sub(*announced);
+    if bytes > 0 {
+        *announced = target;
+        pending.push(PendingIncoming {
+            at,
+            position,
+            bytes,
+        });
+    }
+}
+
+/// Hands every announcement due by `now` to `release`.
+fn release_due(
+    pending: &mut Vec<PendingIncoming>,
+    now: Cycle,
+    mut release: impl FnMut(PendingIncoming),
+) {
+    let mut i = 0;
+    while i < pending.len() {
+        if pending[i].at <= now {
+            release(pending.swap_remove(i));
+        } else {
+            i += 1;
+        }
+    }
+}
+
+/// The earliest cycle an announcement enters the comm stream (never
+/// before the next step).
+fn next_release(pending: &[PendingIncoming], now: Cycle) -> Option<Cycle> {
+    pending.iter().map(|p| p.at.max(now + 1)).min()
 }
 
 /// Runs the fused GEMM + ring reduce-scatter on one (mirrored) GPU.
@@ -222,9 +226,7 @@ pub fn run_fused_gemm_rs_instrumented(
         "fused T3 requires an in-memory reduction substrate"
     );
     let n = sys.num_gpus;
-    let ring = Ring::new(n);
-    let config = OutputConfig::ring_reduce_scatter(ring, 0);
-    let elem_bytes = grid.shape().elem_bytes;
+    let config = OutputConfig::ring_reduce_scatter(Ring::new(n), 0);
     let update_cost = opts.substrate.update_cost_multiplier(&sys.mem);
 
     // Position p is the p-th chunk this GPU computes. Ring-RS has two
@@ -233,27 +235,17 @@ pub fn run_fused_gemm_rs_instrumented(
     // that the staggered schedule of the simulated GPU coincides with
     // the GEMM's natural WG order — the routes per position (warm-up
     // remote, N-2 DMA steps, owned last) are identical either way.
+    let bounds: Vec<(u64, u64)> = (0..n)
+        .map(|p| grid.chunk_wg_bounds(n as u64, p as u64))
+        .collect();
     let mut chunks: Vec<ChunkState> = (0..n)
         .map(|p| {
-            let (w0, w1) = grid.chunk_wg_bounds(n as u64, p as u64);
             let route = config.route(p);
-            ChunkState {
-                wg_bounds: (w0, w1),
-                bytes: grid.wg_range_output_bytes(w0, w1),
-                route,
-                triggered_wfs: 0,
-                expected_wfs: if route.tracked() {
-                    count_nonempty_wfs(&grid, w0, w1)
-                } else {
-                    0
-                },
-                dma_fired: false,
-                incoming_announced: 0,
-                feed_built: false,
-            }
+            let passes = usize::from(p >= 1);
+            ChunkState::new(&grid, p, bounds[p], route, route.destination(), passes)
         })
         .collect();
-    let bounds: Vec<(u64, u64)> = chunks.iter().map(|c| c.wg_bounds).collect();
+    let mut incoming_announced: Vec<Bytes> = vec![0; n];
 
     let mut mc = MemoryController::new(&sys.mem, opts.policy.build(sys));
     let mut llc = Llc::new(&sys.mem);
@@ -263,8 +255,7 @@ pub fn run_fused_gemm_rs_instrumented(
     let mut ts = opts.timeseries_bucket.map(TimeSeries::new);
 
     let mut pending_incoming: Vec<PendingIncoming> = Vec::new();
-    let mut feed: VecDeque<FeedEntry> = VecDeque::new();
-    let mut rs_update_seen: Bytes = 0;
+    let mut feed = Feed::new(&grid);
     let mut remote_delivered: Bytes = 0;
 
     // Extra delay applied to incoming announcements when stagger is
@@ -284,65 +275,41 @@ pub fn run_fused_gemm_rs_instrumented(
     let mut first_stage_done = false;
     let mut gemm_done = false;
     let mut dma_transfers = 0u64;
-    let mut now: Cycle = 0;
+    let mut clock = Clock::new(opts.mode);
 
     mc.reset_occupancy_window();
 
     loop {
+        let now = clock.now();
         mc.step_traced(now, ts.as_mut(), reborrow(&mut ins));
 
         // 1. Attribute newly serviced incoming updates to the tracker.
-        let serviced = mc.stats().bytes(TrafficClass::RsUpdate);
-        if serviced > rs_update_seen {
-            let mut delta = serviced - rs_update_seen;
-            rs_update_seen = serviced;
-            while delta > 0 {
-                let entry = feed.front_mut().expect("serviced more than announced");
-                let take = delta.min(entry.region_bytes - entry.consumed_bytes);
-                entry.consumed_bytes += take;
-                delta -= take;
-                if entry.consumed_bytes == entry.region_bytes {
-                    let e = *entry;
-                    feed.pop_front();
-                    let region_elems = e.region_bytes / elem_bytes;
-                    let updates = chunks[e.position].route.updates_per_element();
-                    if tracker
-                        .record_update(e.wf, e.addr, region_elems, region_elems, updates)
-                        .is_some()
-                    {
-                        chunks[e.position].triggered_wfs += 1;
-                        if let Some(ins) = reborrow(&mut ins) {
-                            if ins.tracer.as_ref().is_some_and(|t| t.fine()) {
-                                ins.record(
-                                    now,
-                                    Event::TrackerUpdate {
-                                        wg: e.wf.wg,
-                                        wf: e.wf.wf as u64,
-                                        addr: e.addr,
-                                    },
-                                );
-                            }
-                            ins.add("tracker.wf_completions", 1);
-                        }
+        feed.attribute(
+            mc.stats().bytes(TrafficClass::RsUpdate),
+            &mut tracker,
+            |e| {
+                chunks[e.position].triggered_wfs += 1;
+                if let Some(ins) = reborrow(&mut ins) {
+                    if ins.tracer.as_ref().is_some_and(|t| t.fine()) {
+                        ins.record(
+                            now,
+                            Event::TrackerUpdate {
+                                wg: e.wf.wg,
+                                wf: e.wf.wf as u64,
+                                addr: e.addr,
+                            },
+                        );
                     }
+                    ins.add("tracker.wf_completions", 1);
                 }
-            }
-        }
+            },
+        );
 
         // 2. Release due incoming announcements into the comm stream.
-        let mut i = 0;
-        while i < pending_incoming.len() {
-            if pending_incoming[i].at <= now {
-                let p = pending_incoming.swap_remove(i);
-                if !chunks[p.position].feed_built {
-                    build_feed(&grid, &chunks, &mut feed, p.position, elem_bytes);
-                    chunks[p.position].feed_built = true;
-                }
-                mc.enqueue(StreamId::Comm, TrafficClass::RsUpdate, p.bytes, update_cost);
-            } else {
-                i += 1;
-            }
-        }
+        release_due(&mut pending_incoming, now, |p| {
+            feed.announce(&grid, &mut chunks, p.position);
+            mc.enqueue(StreamId::Comm, TrafficClass::RsUpdate, p.bytes, update_cost);
+        });
 
         // 3. Advance the producer GEMM.
         match gemm.step(now, &mut mc, &mut llc) {
@@ -356,9 +323,6 @@ pub fn run_fused_gemm_rs_instrumented(
                 started,
                 compute_cycles,
             } => {
-                if debug_trace() {
-                    eprintln!("[{now}] stage stores {wg_start}..{wg_end}");
-                }
                 if let Some(ins) = reborrow(&mut ins) {
                     ins.record(
                         now,
@@ -382,12 +346,8 @@ pub fn run_fused_gemm_rs_instrumented(
                     mc.observe_compute_intensity(mc.avg_occupancy_fraction());
                     first_stage_done = true;
                 }
-                // Split the stage's WGs across chunk boundaries.
-                let mut wg = wg_start;
-                while wg < wg_end {
-                    let pos = position_of_wg(&bounds, wg);
-                    let upper = chunks[pos].wg_bounds.1.min(wg_end);
-                    let bytes = grid.wg_range_output_bytes(wg, upper);
+                for (pos, w0, w1) in split_at_chunks(&bounds, wg_start, wg_end) {
+                    let bytes = grid.wg_range_output_bytes(w0, w1);
                     match chunks[pos].route {
                         ChunkRoute::RemoteUpdate { .. } => {
                             // Warm-up chunk: stores go straight onto the
@@ -401,7 +361,13 @@ pub fn run_fused_gemm_rs_instrumented(
                             );
                             remote_seq += 1;
                         }
-                        ChunkRoute::LocalOnly { .. } | ChunkRoute::LocalThenDmaUpdate { .. } => {
+                        ChunkRoute::LocalOnly {
+                            updates_per_element,
+                        }
+                        | ChunkRoute::LocalThenDmaUpdate {
+                            updates_per_element,
+                            ..
+                        } => {
                             // Uncached NMC update stores on the compute
                             // stream; tracked at MCQ enqueue.
                             mc.enqueue(
@@ -410,34 +376,35 @@ pub fn run_fused_gemm_rs_instrumented(
                                 bytes,
                                 update_cost,
                             );
-                            record_local_updates(
-                                &grid,
+                            chunks[pos].triggered_wfs += record_local_stores(
                                 &mut tracker,
-                                &mut chunks,
-                                pos,
-                                wg,
-                                upper,
-                                elem_bytes,
+                                &grid,
+                                (w0, w1),
+                                updates_per_element,
                             );
                         }
                         _ => unreachable!("ring-RS uses no other routes"),
                     }
-                    wg = upper;
                 }
             }
         }
 
         // 4. DMA engine: our deliveries mirror incoming traffic.
         for delivery in dma.step_traced(now, &mut mc, reborrow(&mut ins)) {
-            if debug_trace() {
-                eprintln!(
-                    "[{now}] delivery tag {} bytes {}",
-                    delivery.tag, delivery.bytes
-                );
-            }
-            if delivery.tag < TAG_REMOTE {
-                // Mirrored: our chunk reaching the neighbour IS the
-                // next chunk's incoming copy arriving here.
+            let at = now + no_stagger_delay;
+            if delivery.tag >= TAG_REMOTE {
+                // A warm-up portion reached the neighbour; announce the
+                // proportional mirrored portion of our position-1 chunk.
+                remote_delivered += delivery.bytes;
+                let (src_total, dst_total) = (chunks[0].bytes, chunks[1].bytes);
+                let target =
+                    (remote_delivered.saturating_mul(dst_total) / src_total).min(dst_total);
+                let announced = &mut incoming_announced[1];
+                mirror_incoming(&mut pending_incoming, announced, at, 1, target);
+            } else {
+                // Mirrored: our chunk at position `tag` reaching the
+                // neighbour IS the next chunk's incoming copy arriving
+                // here.
                 if let Some(ins) = reborrow(&mut ins) {
                     ins.record(
                         now,
@@ -448,52 +415,23 @@ pub fn run_fused_gemm_rs_instrumented(
                     );
                     ins.add("chunks.received", 1);
                 }
-            }
-            if delivery.tag >= TAG_REMOTE {
-                // A warm-up portion reached the neighbour; announce the
-                // proportional mirrored portion of our position-1 chunk.
-                remote_delivered += delivery.bytes;
-                let src_total = chunks[0].bytes;
-                let dst_total = chunks[1].bytes;
-                let target =
-                    (remote_delivered.saturating_mul(dst_total) / src_total).min(dst_total);
-                let incoming = target.saturating_sub(chunks[1].incoming_announced);
-                if incoming > 0 {
-                    chunks[1].incoming_announced += incoming;
-                    pending_incoming.push(PendingIncoming {
-                        at: now + no_stagger_delay,
-                        position: 1,
-                        bytes: incoming,
-                    });
-                }
-            } else {
-                // Our chunk at position `tag` was delivered; the
-                // mirrored copy for position `tag + 1` arrives now.
                 let next = delivery.tag as usize + 1;
                 assert!(next < chunks.len(), "owned chunk is never DMA'd");
-                let bytes = chunks[next].bytes - chunks[next].incoming_announced;
-                if bytes > 0 {
-                    chunks[next].incoming_announced += bytes;
-                    pending_incoming.push(PendingIncoming {
-                        at: now + no_stagger_delay,
-                        position: next,
-                        bytes,
-                    });
-                }
+                let announced = &mut incoming_announced[next];
+                mirror_incoming(
+                    &mut pending_incoming,
+                    announced,
+                    at,
+                    next,
+                    chunks[next].bytes,
+                );
             }
         }
 
         // 5. Fire DMAs for completed steady-state chunks.
         for (pos, chunk) in chunks.iter_mut().enumerate() {
-            if chunk.route.uses_dma()
-                && !chunk.dma_fired
-                && chunk.triggered_wfs == chunk.expected_wfs
-            {
-                chunk.dma_fired = true;
+            if chunk.fire_dma() {
                 dma_transfers += 1;
-                if debug_trace() {
-                    eprintln!("[{now}] DMA fire pos {pos}");
-                }
                 if let Some(ins) = reborrow(&mut ins) {
                     ins.record(
                         now,
@@ -514,11 +452,8 @@ pub fn run_fused_gemm_rs_instrumented(
 
         // Completion: producer done, every tracked chunk complete, all
         // queues and wires drained.
-        let chunks_done = chunks
-            .iter()
-            .all(|c| !c.route.tracked() || c.triggered_wfs == c.expected_wfs);
         if gemm_done
-            && chunks_done
+            && chunks.iter().all(ChunkState::complete)
             && pending_incoming.is_empty()
             && feed.is_empty()
             && dma.is_idle(now)
@@ -527,30 +462,24 @@ pub fn run_fused_gemm_rs_instrumented(
             break;
         }
 
-        // Fast-forward: with the controller quiescent, nothing can
-        // happen before the earliest component event — leap straight to
-        // it, replaying the skipped controller bookkeeping. A tracker
-        // fire can only follow a controller service or a GEMM store,
-        // both of which require an event first, so no fire is skipped.
-        now = if opts.mode == SimMode::FastForward && mc.is_idle() {
-            let pending_at = pending_incoming.iter().map(|p| p.at.max(now + 1)).min();
-            let target = min_event(
-                min_event(gemm.next_event(now, &mc), dma.next_event(now, &mc)),
-                pending_at,
-            );
-            match target {
-                Some(t) if t > now + 1 => {
-                    mc.skip_idle(now + 1, t, reborrow(&mut ins));
-                    t
-                }
-                _ => now + 1,
-            }
-        } else {
-            now + 1
-        };
-        assert!(now < 4_000_000_000, "fused run failed to converge");
+        // With the controller quiescent, nothing can happen before the
+        // earliest component event. A tracker fire can only follow a
+        // controller service or a GEMM store, both of which require an
+        // event first, so a leap skips no fire.
+        let gap = clock.advance(mc.is_idle(), || {
+            let events = [
+                gemm.next_event(now, &mc),
+                dma.next_event(now, &mc),
+                next_release(&pending_incoming, now),
+            ];
+            events.into_iter().flatten().min()
+        });
+        if let Some(gap) = gap {
+            mc.skip_idle(gap.start, gap.end, reborrow(&mut ins));
+        }
     }
 
+    let now = clock.now();
     if let Some(ins) = reborrow(&mut ins) {
         ins.record(
             now,
@@ -600,207 +529,8 @@ pub fn run_fused_gemm_direct_rs(
         opts.substrate.reduces_in_memory(),
         "fused T3 requires an in-memory reduction substrate"
     );
-    let n = sys.num_gpus;
-    let update_cost = opts.substrate.update_cost_multiplier(&sys.mem);
-    // Simulated device 0 owns chunk 0; all other chunks are
-    // remote-mapped to their owners over dedicated links.
-    let config = OutputConfig::direct_reduce_scatter(n, 0);
-    let owned_updates = config.route(0).updates_per_element();
-    let (w0, w1) = grid.chunk_wg_bounds(n as u64, 0);
-    let owned_bytes = grid.wg_range_output_bytes(w0, w1);
-    let elem_bytes = grid.shape().elem_bytes;
-
-    let mut mc = MemoryController::new(&sys.mem, opts.policy.build(sys));
-    let mut llc = Llc::new(&sys.mem);
-    let mut gemm = GemmEngine::new(&sys.gpu, grid.clone());
-    // One outbound link per peer on the fully-connected topology; all
-    // carry fine-grained remote stores.
-    let mut links: Vec<t3_net::link::Link> = (0..n - 1)
-        .map(|_| t3_net::link::Link::new(&sys.link))
-        .collect();
-    let mut tracker = Tracker::new(TrackerConfig::paper(grid.wf_tile_elems()));
-    let mut ts = opts.timeseries_bucket.map(TimeSeries::new);
-
-    // Incoming mirror: each peer streams updates for our owned chunk
-    // as it computes the corresponding region; by homogeneity, peer p
-    // produces our chunk's updates at the same time we produce chunk
-    // p's stores. Deliveries (after link latency) enter the comm
-    // stream; the tracker's feed consumes them in WF order, N-1 full
-    // passes over the owned chunk.
-    let mut feed: VecDeque<FeedEntry> = VecDeque::new();
-    for _pass in 0..(n - 1) {
-        build_direct_feed(&grid, w0, w1, &mut feed, elem_bytes);
-    }
-    let mut rs_update_seen: Bytes = 0;
-    let mut pending_incoming: Vec<(Cycle, Bytes)> = Vec::new();
-    // Exact proportional mirroring per peer chunk: bytes sent so far
-    // and incoming bytes announced so far (avoids rounding loss).
-    let mut sent_per_chunk: Vec<Bytes> = vec![0; n];
-    let mut announced_per_chunk: Vec<Bytes> = vec![0; n];
-    let mut triggered_wfs = 0usize;
-    let expected_wfs = count_nonempty_wfs(&grid, w0, w1);
-    let mut first_stage_done = false;
-    let mut gemm_done = false;
-    let mut now: Cycle = 0;
-    mc.reset_occupancy_window();
-
-    loop {
-        mc.step(now, ts.as_mut());
-
-        // Attribute serviced incoming updates to the tracker.
-        let serviced = mc.stats().bytes(TrafficClass::RsUpdate);
-        if serviced > rs_update_seen {
-            let mut delta = serviced - rs_update_seen;
-            rs_update_seen = serviced;
-            while delta > 0 {
-                let entry = feed.front_mut().expect("serviced more than announced");
-                let take = delta.min(entry.region_bytes - entry.consumed_bytes);
-                entry.consumed_bytes += take;
-                delta -= take;
-                if entry.consumed_bytes == entry.region_bytes {
-                    let e = *entry;
-                    feed.pop_front();
-                    let region_elems = e.region_bytes / elem_bytes;
-                    if tracker
-                        .record_update(e.wf, e.addr, region_elems, region_elems, owned_updates)
-                        .is_some()
-                    {
-                        triggered_wfs += 1;
-                    }
-                }
-            }
-        }
-        // Release due incoming announcements.
-        let mut i = 0;
-        while i < pending_incoming.len() {
-            if pending_incoming[i].0 <= now {
-                let (_, bytes) = pending_incoming.swap_remove(i);
-                mc.enqueue(StreamId::Comm, TrafficClass::RsUpdate, bytes, update_cost);
-            } else {
-                i += 1;
-            }
-        }
-
-        match gemm.step(now, &mut mc, &mut llc) {
-            GemmEvent::Idle => {}
-            GemmEvent::Finished => gemm_done = true,
-            GemmEvent::StageStoresIssued {
-                wg_start, wg_end, ..
-            } => {
-                if !first_stage_done {
-                    mc.observe_compute_intensity(mc.avg_occupancy_fraction());
-                    first_stage_done = true;
-                }
-                let mut wg = wg_start;
-                while wg < wg_end {
-                    // Split by chunk: chunk 0 is ours (local NMC
-                    // updates); everything else leaves on a link.
-                    let chunk = {
-                        let mut c = 0;
-                        for p in 0..n as u64 {
-                            let (a, b) = grid.chunk_wg_bounds(n as u64, p);
-                            if wg >= a && wg < b {
-                                c = p;
-                                break;
-                            }
-                        }
-                        c
-                    };
-                    let (_, cb_end) = grid.chunk_wg_bounds(n as u64, chunk);
-                    let upper = cb_end.min(wg_end);
-                    let bytes = grid.wg_range_output_bytes(wg, upper);
-                    if chunk == 0 {
-                        mc.enqueue(
-                            StreamId::Compute,
-                            TrafficClass::GemmWrite,
-                            bytes,
-                            update_cost,
-                        );
-                        record_direct_local(
-                            &grid,
-                            &mut tracker,
-                            &mut triggered_wfs,
-                            wg,
-                            upper,
-                            elem_bytes,
-                            owned_updates,
-                        );
-                    } else {
-                        // Remote stores on the dedicated link to the
-                        // chunk's owner (each peer has its own wire).
-                        let idx = (chunk as usize - 1) % links.len();
-                        let arrival = links[idx].send(now, chunk, bytes);
-                        // Mirror: a peer's remote stores for our owned
-                        // chunk arrive with the same timing,
-                        // proportionally sized to our owned chunk (an
-                        // exact cursor, so the full owned chunk is
-                        // announced once the peer chunk completes).
-                        let (ca, cb) = grid.chunk_wg_bounds(n as u64, chunk);
-                        let chunk_total = grid.wg_range_output_bytes(ca, cb);
-                        let c = chunk as usize;
-                        sent_per_chunk[c] += bytes;
-                        let target = if sent_per_chunk[c] >= chunk_total {
-                            owned_bytes
-                        } else {
-                            sent_per_chunk[c] * owned_bytes / chunk_total
-                        };
-                        let mirrored = target.saturating_sub(announced_per_chunk[c]);
-                        if mirrored > 0 {
-                            announced_per_chunk[c] = target;
-                            pending_incoming.push((arrival, mirrored));
-                        }
-                    }
-                    wg = upper;
-                }
-            }
-        }
-
-        // Drain link deliveries (arrival times were captured at send).
-        for l in &mut links {
-            let _ = l.deliveries_until(now);
-        }
-        let links_idle = links.iter().all(|l| l.is_idle(now));
-        if gemm_done
-            && triggered_wfs == expected_wfs
-            && pending_incoming.is_empty()
-            && links_idle
-            && mc.is_idle()
-        {
-            break;
-        }
-        now = if opts.mode == SimMode::FastForward && mc.is_idle() {
-            let pending_at = pending_incoming.iter().map(|p| p.0.max(now + 1)).min();
-            let link_at = links.iter().filter_map(|l| l.next_event(now)).min();
-            match min_event(min_event(gemm.next_event(now, &mc), link_at), pending_at) {
-                Some(t) if t > now + 1 => {
-                    mc.skip_idle(now + 1, t, None);
-                    t
-                }
-                _ => now + 1,
-            }
-        } else {
-            now + 1
-        };
-        if debug_trace() && now.is_multiple_of(500_000) {
-            eprintln!(
-                "[{now}] direct: gemm_done={gemm_done} trig={triggered_wfs}/{expected_wfs} pend={} feed={} mc_idle={} links_idle={}",
-                pending_incoming.len(),
-                feed.len(),
-                mc.is_idle(),
-                links.iter().all(|l| l.is_idle(now))
-            );
-        }
-        assert!(now < 4_000_000_000, "direct-RS fusion failed to converge");
-    }
-
-    FusedRunResult {
-        cycles: now,
-        stats: mc.stats().clone(),
-        timeseries: ts,
-        dma_transfers: 0,
-        peak_tracker_entries: tracker.peak_entries(),
-        link_bytes_sent: links.iter().map(|l| l.total_sent()).sum(),
-    }
+    let config = OutputConfig::direct_reduce_scatter(sys.num_gpus, 0);
+    run_fused_direct(sys, grid, opts, &config)
 }
 
 /// Runs a fused GEMM + all-to-all (Sections 7.1/7.2, expert
@@ -818,39 +548,87 @@ pub fn run_fused_gemm_all_to_all(
     grid: GemmGrid,
     opts: &FusedOptions,
 ) -> FusedRunResult {
+    let config = OutputConfig::all_to_all(sys.num_gpus, 0);
+    run_fused_direct(sys, grid, opts, &config)
+}
+
+/// The loop shared by the direct-link schedules, for simulated device 0
+/// (which owns chunk 0): every other chunk leaves on a dedicated link
+/// to its owner as the GEMM stores it.
+///
+/// The route of the non-owned chunks decides the rest. `RemoteUpdate`
+/// (direct-RS) reduces: local stores are NMC updates, the incoming
+/// copies are updates, and the Tracker counts the owned chunk to
+/// completion. `RemoteStore` (all-to-all) moves data only: plain local
+/// stores, plain incoming writes, nothing tracked.
+fn run_fused_direct(
+    sys: &SystemConfig,
+    grid: GemmGrid,
+    opts: &FusedOptions,
+    config: &OutputConfig,
+) -> FusedRunResult {
     let n = sys.num_gpus;
-    let (w0, w1) = grid.chunk_wg_bounds(n as u64, 0);
-    let own_bytes = grid.wg_range_output_bytes(w0, w1);
+    let reduce = matches!(config.route(1), ChunkRoute::RemoteUpdate { .. });
+    let (incoming_class, update_cost) = if reduce {
+        let cost = opts.substrate.update_cost_multiplier(&sys.mem);
+        (TrafficClass::RsUpdate, cost)
+    } else {
+        (TrafficClass::AgWrite, 1.0)
+    };
+    let owned_updates = config.route(0).updates_per_element();
+    let bounds: Vec<(u64, u64)> = (0..n)
+        .map(|c| grid.chunk_wg_bounds(n as u64, c as u64))
+        .collect();
+    let chunk_bytes: Vec<Bytes> = bounds
+        .iter()
+        .map(|&(w0, w1)| grid.wg_range_output_bytes(w0, w1))
+        .collect();
+    let owned_bytes = chunk_bytes[0];
 
     let mut mc = MemoryController::new(&sys.mem, opts.policy.build(sys));
     let mut llc = Llc::new(&sys.mem);
     let mut gemm = GemmEngine::new(&sys.gpu, grid.clone());
-    let mut links: Vec<t3_net::link::Link> = (0..n - 1)
-        .map(|_| t3_net::link::Link::new(&sys.link))
-        .collect();
+    // One outbound link per peer on the fully-connected topology.
+    let mut links: Vec<Link> = (0..n - 1).map(|_| Link::new(&sys.link)).collect();
+    let mut tracker = Tracker::new(TrackerConfig::paper(grid.wf_tile_elems()));
     let mut ts = opts.timeseries_bucket.map(TimeSeries::new);
 
-    let mut pending_incoming: Vec<(Cycle, Bytes)> = Vec::new();
+    // Incoming mirror: each peer streams its copy of our owned chunk as
+    // it computes the corresponding region; by homogeneity, peer p
+    // produces it at the same time we produce chunk p's stores.
+    // Deliveries (after link latency) enter the comm stream; when
+    // reducing, the tracker's feed consumes them in WF order, N-1 full
+    // passes over the owned chunk.
+    let mut feed = Feed::new(&grid);
+    let mut triggered_wfs = 0usize;
+    let expected_wfs = if reduce {
+        feed.push(&grid, bounds[0], 0, owned_updates, n - 1);
+        count_nonempty_wfs(&grid, bounds[0])
+    } else {
+        0
+    };
+    let mut pending_incoming: Vec<PendingIncoming> = Vec::new();
+    // Exact proportional mirroring per peer chunk: bytes sent so far
+    // and incoming bytes announced so far (avoids rounding loss).
     let mut sent_per_chunk: Vec<Bytes> = vec![0; n];
     let mut announced_per_chunk: Vec<Bytes> = vec![0; n];
-    let mut incoming_enqueued: Bytes = 0;
     let mut first_stage_done = false;
     let mut gemm_done = false;
-    let mut now: Cycle = 0;
+    let mut clock = Clock::new(opts.mode);
     mc.reset_occupancy_window();
 
     loop {
+        let now = clock.now();
         mc.step(now, ts.as_mut());
-        let mut i = 0;
-        while i < pending_incoming.len() {
-            if pending_incoming[i].0 <= now {
-                let (_, bytes) = pending_incoming.swap_remove(i);
-                incoming_enqueued += bytes;
-                mc.enqueue(StreamId::Comm, TrafficClass::AgWrite, bytes, 1.0);
-            } else {
-                i += 1;
-            }
-        }
+        feed.attribute(
+            mc.stats().bytes(TrafficClass::RsUpdate),
+            &mut tracker,
+            |_| triggered_wfs += 1,
+        );
+        release_due(&mut pending_incoming, now, |p| {
+            mc.enqueue(StreamId::Comm, incoming_class, p.bytes, update_cost);
+        });
+
         match gemm.step(now, &mut mc, &mut llc) {
             GemmEvent::Idle => {}
             GemmEvent::Finished => gemm_done = true,
@@ -861,224 +639,76 @@ pub fn run_fused_gemm_all_to_all(
                     mc.observe_compute_intensity(mc.avg_occupancy_fraction());
                     first_stage_done = true;
                 }
-                let mut wg = wg_start;
-                while wg < wg_end {
-                    let mut chunk = 0u64;
-                    for p in 0..n as u64 {
-                        let (a, b) = grid.chunk_wg_bounds(n as u64, p);
-                        if wg >= a && wg < b {
-                            chunk = p;
-                            break;
-                        }
-                    }
-                    let (ca, cb) = grid.chunk_wg_bounds(n as u64, chunk);
-                    let upper = cb.min(wg_end);
-                    let bytes = grid.wg_range_output_bytes(wg, upper);
+                for (chunk, w0, w1) in split_at_chunks(&bounds, wg_start, wg_end) {
+                    let bytes = grid.wg_range_output_bytes(w0, w1);
                     if chunk == 0 {
-                        // Own slot: stays local (uncached store).
-                        mc.enqueue(StreamId::Compute, TrafficClass::GemmWrite, bytes, 1.0);
-                    } else {
-                        let idx = (chunk as usize - 1) % links.len();
-                        let arrival = links[idx].send(now, chunk, bytes);
-                        let chunk_total = grid.wg_range_output_bytes(ca, cb);
-                        let c = chunk as usize;
-                        sent_per_chunk[c] += bytes;
-                        let target = if sent_per_chunk[c] >= chunk_total {
-                            own_bytes
-                        } else {
-                            sent_per_chunk[c] * own_bytes / chunk_total
-                        };
-                        let mirrored = target.saturating_sub(announced_per_chunk[c]);
-                        if mirrored > 0 {
-                            announced_per_chunk[c] = target;
-                            pending_incoming.push((arrival, mirrored));
+                        // Our own chunk stays local, tracked at MCQ
+                        // enqueue when reducing.
+                        mc.enqueue(
+                            StreamId::Compute,
+                            TrafficClass::GemmWrite,
+                            bytes,
+                            update_cost,
+                        );
+                        if reduce {
+                            triggered_wfs +=
+                                record_local_stores(&mut tracker, &grid, (w0, w1), owned_updates);
                         }
+                        continue;
                     }
-                    wg = upper;
+                    // Remote stores on the dedicated link to the chunk's
+                    // owner (each peer has its own wire).
+                    let link = (chunk - 1) % links.len();
+                    let arrival = links[link].send(now, chunk as u64, bytes);
+                    // Mirror: a peer's remote stores for our owned chunk
+                    // arrive with the same timing, proportionally sized
+                    // (an exact cursor, so the full owned chunk is
+                    // announced once the peer chunk completes).
+                    sent_per_chunk[chunk] += bytes;
+                    let target = if sent_per_chunk[chunk] >= chunk_bytes[chunk] {
+                        owned_bytes
+                    } else {
+                        sent_per_chunk[chunk] * owned_bytes / chunk_bytes[chunk]
+                    };
+                    let announced = &mut announced_per_chunk[chunk];
+                    mirror_incoming(&mut pending_incoming, announced, arrival, 0, target);
                 }
             }
         }
+
+        // Drain link deliveries (arrival times were captured at send).
         for l in &mut links {
             let _ = l.deliveries_until(now);
         }
-        let links_idle = links.iter().all(|l| l.is_idle(now));
-        if gemm_done && pending_incoming.is_empty() && links_idle && mc.is_idle() {
+        if gemm_done
+            && triggered_wfs == expected_wfs
+            && pending_incoming.is_empty()
+            && links.iter().all(|l| l.is_idle(now))
+            && mc.is_idle()
+        {
             break;
         }
-        now = if opts.mode == SimMode::FastForward && mc.is_idle() {
-            let pending_at = pending_incoming.iter().map(|p| p.0.max(now + 1)).min();
+        let gap = clock.advance(mc.is_idle(), || {
             let link_at = links.iter().filter_map(|l| l.next_event(now)).min();
-            match min_event(min_event(gemm.next_event(now, &mc), link_at), pending_at) {
-                Some(t) if t > now + 1 => {
-                    mc.skip_idle(now + 1, t, None);
-                    t
-                }
-                _ => now + 1,
-            }
-        } else {
-            now + 1
-        };
-        assert!(now < 4_000_000_000, "all-to-all fusion failed to converge");
+            let events = [
+                gemm.next_event(now, &mc),
+                link_at,
+                next_release(&pending_incoming, now),
+            ];
+            events.into_iter().flatten().min()
+        });
+        if let Some(gap) = gap {
+            mc.skip_idle(gap.start, gap.end, None);
+        }
     }
-    let _ = incoming_enqueued;
+
     FusedRunResult {
-        cycles: now,
+        cycles: clock.now(),
         stats: mc.stats().clone(),
         timeseries: ts,
         dma_transfers: 0,
-        peak_tracker_entries: 0,
+        peak_tracker_entries: tracker.peak_entries(),
         link_bytes_sent: links.iter().map(|l| l.total_sent()).sum(),
-    }
-}
-
-/// Appends the owned chunk's WF regions to the attribution FIFO (one
-/// pass; the direct-RS feed is `N-1` passes).
-fn build_direct_feed(
-    grid: &GemmGrid,
-    w0: u64,
-    w1: u64,
-    feed: &mut VecDeque<FeedEntry>,
-    elem_bytes: u64,
-) {
-    let wfs = grid.wfs_per_wg();
-    for wg in w0..w1 {
-        let t = grid.wg_tile(wg);
-        let (region_addr, _) = grid.wg_output_region(wg);
-        for wf in 0..wfs {
-            let (r0, r1) = crate::fused::wf_rows(t.height as usize, wfs, wf);
-            let region_bytes = ((r1 - r0) as u64) * t.width * elem_bytes;
-            if region_bytes == 0 {
-                continue;
-            }
-            feed.push_back(FeedEntry {
-                position: 0,
-                wf: WfId { wg, wf },
-                addr: region_addr + (r0 as u64) * t.width * elem_bytes,
-                region_bytes,
-                consumed_bytes: 0,
-            });
-        }
-    }
-}
-
-/// Records the owned chunk's local NMC stores at MCQ enqueue.
-fn record_direct_local(
-    grid: &GemmGrid,
-    tracker: &mut Tracker,
-    triggered_wfs: &mut usize,
-    w0: u64,
-    w1: u64,
-    elem_bytes: u64,
-    updates: u32,
-) {
-    let wfs = grid.wfs_per_wg();
-    for wg in w0..w1 {
-        let t = grid.wg_tile(wg);
-        let (region_addr, _) = grid.wg_output_region(wg);
-        for wf in 0..wfs {
-            let (r0, r1) = crate::fused::wf_rows(t.height as usize, wfs, wf);
-            let elems = ((r1 - r0) as u64) * t.width;
-            if elems == 0 {
-                continue;
-            }
-            let addr = region_addr + (r0 as u64) * t.width * elem_bytes;
-            if tracker
-                .record_update(WfId { wg, wf }, addr, elems, elems, updates)
-                .is_some()
-            {
-                *triggered_wfs += 1;
-            }
-        }
-    }
-}
-
-fn position_of_wg(bounds: &[(u64, u64)], wg: u64) -> usize {
-    bounds
-        .iter()
-        .position(|&(w0, w1)| wg >= w0 && wg < w1)
-        .expect("wg outside chunk space")
-}
-
-/// Counts WFs with non-empty output regions in a WG range.
-fn count_nonempty_wfs(grid: &GemmGrid, w0: u64, w1: u64) -> usize {
-    let wfs = grid.wfs_per_wg();
-    (w0..w1)
-        .map(|wg| {
-            let h = grid.wg_tile(wg).height as usize;
-            (0..wfs)
-                .filter(|&wf| {
-                    let (r0, r1) = crate::fused::wf_rows(h, wfs, wf);
-                    r1 > r0
-                })
-                .count()
-        })
-        .sum()
-}
-
-/// Records local NMC-update stores for WGs `[w0, w1)` of the chunk at
-/// `pos` in the tracker (one full region per WF, counted when the
-/// stores enter the memory-controller queue).
-fn record_local_updates(
-    grid: &GemmGrid,
-    tracker: &mut Tracker,
-    chunks: &mut [ChunkState],
-    pos: usize,
-    w0: u64,
-    w1: u64,
-    elem_bytes: u64,
-) {
-    let wfs = grid.wfs_per_wg();
-    let updates = chunks[pos].route.updates_per_element();
-    for wg in w0..w1 {
-        let t = grid.wg_tile(wg);
-        let (region_addr, _) = grid.wg_output_region(wg);
-        for wf in 0..wfs {
-            let (r0, r1) = crate::fused::wf_rows(t.height as usize, wfs, wf);
-            let elems = ((r1 - r0) as u64) * t.width;
-            if elems == 0 {
-                continue;
-            }
-            let addr = region_addr + (r0 as u64) * t.width * elem_bytes;
-            if tracker
-                .record_update(WfId { wg, wf }, addr, elems, elems, updates)
-                .is_some()
-            {
-                chunks[pos].triggered_wfs += 1;
-            }
-        }
-    }
-}
-
-/// Appends all WF regions of `position`'s chunk to the attribution
-/// FIFO, in WG/WF order. Attribution advances only as the memory
-/// controller actually services announced bytes, so building the full
-/// feed up front is safe.
-fn build_feed(
-    grid: &GemmGrid,
-    chunks: &[ChunkState],
-    feed: &mut VecDeque<FeedEntry>,
-    position: usize,
-    elem_bytes: u64,
-) {
-    let wfs = grid.wfs_per_wg();
-    let (w0, w1) = chunks[position].wg_bounds;
-    for wg in w0..w1 {
-        let t = grid.wg_tile(wg);
-        let (region_addr, _) = grid.wg_output_region(wg);
-        for wf in 0..wfs {
-            let (r0, r1) = crate::fused::wf_rows(t.height as usize, wfs, wf);
-            let region_bytes = ((r1 - r0) as u64) * t.width * elem_bytes;
-            if region_bytes == 0 {
-                continue;
-            }
-            feed.push_back(FeedEntry {
-                position,
-                wf: WfId { wg, wf },
-                addr: region_addr + (r0 as u64) * t.width * elem_bytes,
-                region_bytes,
-                consumed_bytes: 0,
-            });
-        }
     }
 }
 
@@ -1340,6 +970,28 @@ mod tests {
         let want = chunk * (s.num_gpus as u64 - 1);
         assert!(incoming + 65536 > want && incoming < want + 65536);
         assert_eq!(fused.stats.bytes(TrafficClass::RsRead), 0);
+    }
+
+    #[test]
+    fn direct_and_all_to_all_runs_are_pinned_in_both_modes() {
+        // Pinned regression: the full result of both direct-link
+        // schedules, identical whether time is stepped or leaped.
+        let s = sys();
+        type Run = fn(&SystemConfig, GemmGrid, &FusedOptions) -> FusedRunResult;
+        let cases: [(Run, &str); 2] = [
+            (run_fused_gemm_direct_rs, "FusedRunResult { cycles: 294756, stats: TrafficStats { bytes: [8388608, 4194304, 0, 0, 29360128, 0, 0] }, timeseries: None, dma_transfers: 0, peak_tracker_entries: 1024, link_bytes_sent: 29360128 }"),
+            (run_fused_gemm_all_to_all, "FusedRunResult { cycles: 293436, stats: TrafficStats { bytes: [8388608, 4194304, 0, 0, 0, 0, 29360128] }, timeseries: None, dma_transfers: 0, peak_tracker_entries: 0, link_bytes_sent: 29360128 }"),
+        ];
+        for (run, want) in cases {
+            for mode in [SimMode::Stepped, SimMode::FastForward] {
+                let opts = FusedOptions {
+                    mode,
+                    ..FusedOptions::default()
+                };
+                let r = run(&s, test_grid(&s), &opts);
+                assert_eq!(format!("{r:?}"), want, "{}", mode.label());
+            }
+        }
     }
 
     #[test]

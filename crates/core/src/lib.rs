@@ -38,6 +38,7 @@ pub mod agfuse;
 pub mod configs;
 pub mod engine;
 pub mod fused;
+mod kernel;
 pub mod multigpu;
 pub mod study;
 pub mod tracker;

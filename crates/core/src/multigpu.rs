@@ -31,38 +31,40 @@
 //!
 //! # Engines
 //!
-//! Three byte-identical ways to advance time:
+//! Both engines advance time on a [`Clock`], stepped or fast-forward
+//! per [`t3_sim::SimMode`], and produce byte-identical results:
 //!
-//! * **Stepped** ([`t3_sim::SimMode::Stepped`]): the reference loop —
-//!   every device steps every cycle.
-//! * **Fast-forward** ([`t3_sim::SimMode::FastForward`], the default):
-//!   when every memory controller is idle, the loop leaps `now`
-//!   straight to the minimum of each component's
-//!   `next_event` — GEMM stage boundaries, fabric inbox arrivals —
-//!   replaying the skipped idle cycles' side effects (tracer samples,
-//!   arbiter wait counters, credit regeneration) exactly.
+//! * **Sequential** ([`run_multi_gpu_fused_rs_on`]): one clock for all
+//!   devices. When every memory controller is idle, it leaps to the
+//!   minimum of each component's `next_event` — GEMM stage boundaries,
+//!   fabric inbox arrivals — and the loop replays the skipped idle
+//!   cycles' side effects (tracer samples, arbiter wait counters,
+//!   credit regeneration) on every controller.
 //! * **Sharded** ([`run_multi_gpu_fused_rs_sharded`]): devices are
 //!   partitioned across worker threads and simulate windows of
 //!   `1 + min link latency` cycles independently (no message sent
-//!   inside a window can arrive within it), buffering outgoing sends;
-//!   each window barrier replays the buffered sends into the shared
-//!   fabric in the exact order the sequential loop would have used.
+//!   inside a window can arrive within it), each on a clock bounded by
+//!   the window end, buffering outgoing sends; each window barrier
+//!   replays the buffered sends into the shared fabric in the exact
+//!   order the sequential loop would have used.
 
 use std::collections::VecDeque;
 use std::panic::resume_unwind;
 use std::thread;
 
 use crate::addrmap::{ChunkRoute, OutputConfig};
-use crate::engine::{min_event, FusedOptions, FusedRunResult};
-use crate::tracker::{Tracker, TrackerConfig, WfId};
+use crate::engine::{FusedOptions, FusedRunResult};
+use crate::kernel::{record_local_stores, split_at_chunks, ChunkState, Feed};
+use crate::tracker::{Tracker, TrackerConfig};
 use t3_gpu::engine::{GemmEngine, GemmEvent};
 use t3_gpu::gemm::GemmGrid;
 use t3_mem::controller::{MemoryController, StreamId};
 use t3_mem::llc::Llc;
 use t3_net::ring::Ring;
+use t3_sim::clock::Clock;
 use t3_sim::config::SystemConfig;
 use t3_sim::stats::{TrafficClass, TrafficStats};
-use t3_sim::{Bytes, Cycle, SimMode};
+use t3_sim::{Bytes, Cycle};
 use t3_topo::{Arrival, Fabric, Schedule, Topology};
 use t3_trace::{reborrow, Event, Instruments};
 
@@ -100,47 +102,18 @@ impl MultiGpuResult {
     }
 }
 
-/// One wavefront region awaiting incoming-update attribution.
-#[derive(Debug, Clone, Copy)]
-struct FeedEntry {
-    position: usize,
-    wf: WfId,
-    addr: u64,
-    region_bytes: Bytes,
-    consumed_bytes: Bytes,
-}
-
-/// Per-position bookkeeping.
-#[derive(Debug)]
-struct ChunkState {
-    /// Local WG bounds of this position in the device's execution
-    /// order.
-    wg_bounds: (u64, u64),
-    /// Global chunk id this position computes.
-    global_chunk: usize,
-    bytes: Bytes,
-    route: ChunkRoute,
-    /// Physical destination GPU for outgoing positions (`None` for
-    /// the owned chunk).
-    dest: Option<usize>,
-    /// Full passes of incoming updates this position expects (1 on a
-    /// ring; `N-1` for a direct fabric's owned chunk; 0 otherwise).
-    incoming_passes: usize,
-    triggered_wfs: usize,
-    expected_wfs: usize,
-    dma_fired: bool,
-    feed_built: bool,
-}
-
 /// One simulated GPU.
 struct Gpu {
     mc: MemoryController,
     llc: Llc,
     gemm: GemmEngine,
     tracker: Tracker,
+    /// Per-position chunk state; each chunk's `wg_bounds` are its
+    /// *global* WG range (its memory regions).
     chunks: Vec<ChunkState>,
-    feed: VecDeque<FeedEntry>,
-    rs_update_seen: Bytes,
+    /// Per-position WG bounds in the device's execution order.
+    local_bounds: Vec<(u64, u64)>,
+    feed: Feed,
     /// Pending DMA source reads: (position, serviced-read target).
     dma_reading: Option<(usize, Bytes)>,
     dma_queue: VecDeque<usize>,
@@ -148,23 +121,6 @@ struct Gpu {
     gemm_done: bool,
     finished_at: Option<Cycle>,
     dma_transfers: u64,
-}
-
-/// Message payload on the fabric: which global chunk and how many
-/// bytes.
-#[derive(Debug, Clone, Copy)]
-struct Incoming {
-    global_chunk: usize,
-    bytes: Bytes,
-}
-
-impl From<Arrival> for Incoming {
-    fn from(a: Arrival) -> Self {
-        Incoming {
-            global_chunk: a.tag as usize,
-            bytes: a.bytes,
-        }
-    }
 }
 
 /// A fabric send a sharded worker buffered during its window, replayed
@@ -179,7 +135,7 @@ struct SendIntent {
 }
 
 /// Where a device's outgoing fabric traffic goes: straight onto the
-/// shared fabric (sequential engines) or into a per-worker buffer for
+/// shared fabric (sequential engine) or into a per-worker buffer for
 /// deterministic replay at the window barrier (sharded engine — which
 /// never instruments, so the buffered variant ignores `ins`).
 enum SendSink<'a> {
@@ -261,13 +217,10 @@ impl SendSink<'_> {
     }
 }
 
-/// Read-only per-run geometry shared by every device step.
+/// Read-only per-run parameters shared by every device step.
 struct StepCtx<'a> {
     grid: &'a GemmGrid,
-    global_bounds: &'a [(u64, u64)],
-    elem_bytes: u64,
     update_cost: f64,
-    mode: SimMode,
 }
 
 /// Runs the fused GEMM-RS with every GPU simulated explicitly, on the
@@ -314,7 +267,7 @@ fn build_run(
     grid: &GemmGrid,
     opts: &FusedOptions,
     topo: &Topology,
-) -> (Vec<Gpu>, Fabric, Vec<(u64, u64)>) {
+) -> (Vec<Gpu>, Fabric) {
     assert!(
         opts.substrate.reduces_in_memory(),
         "fused T3 requires an in-memory reduction substrate"
@@ -335,11 +288,6 @@ fn build_run(
         .collect();
     let fabric = Fabric::new(topo);
 
-    // Global chunk geometry.
-    let global_bounds: Vec<(u64, u64)> = (0..n)
-        .map(|c| grid.chunk_wg_bounds(n as u64, c as u64))
-        .collect();
-
     let gpus: Vec<Gpu> = (0..n)
         .map(|d| {
             // Local execution order: positions 0..n. On a ring,
@@ -348,6 +296,7 @@ fn build_run(
             // schedule); elsewhere the schedule-derived configuration
             // names both the chunk and its owner.
             let mut chunks = Vec::with_capacity(n);
+            let mut local_bounds = Vec::with_capacity(n);
             let mut cursor = 0u64;
             for p in 0..n {
                 let (global_chunk, route, dest) = if is_ring {
@@ -366,34 +315,26 @@ fn build_run(
                         .filter(|s| s.dst == d && s.chunk == global_chunk)
                         .count()
                 };
-                let (g0, g1) = global_bounds[global_chunk];
-                let size = g1 - g0;
-                chunks.push(ChunkState {
-                    wg_bounds: (cursor, cursor + size),
+                let (g0, g1) = grid.chunk_wg_bounds(n as u64, global_chunk as u64);
+                local_bounds.push((cursor, cursor + (g1 - g0)));
+                cursor += g1 - g0;
+                chunks.push(ChunkState::new(
+                    grid,
                     global_chunk,
-                    bytes: grid.wg_range_output_bytes(g0, g1),
+                    (g0, g1),
                     route,
                     dest,
                     incoming_passes,
-                    triggered_wfs: 0,
-                    expected_wfs: if route.tracked() {
-                        count_nonempty_wfs(grid, g0, g1)
-                    } else {
-                        0
-                    },
-                    dma_fired: false,
-                    feed_built: false,
-                });
-                cursor += size;
+                ));
             }
             Gpu {
-                mc: MemoryController::new(&sys.mem, build_policy(opts, sys)),
+                mc: MemoryController::new(&sys.mem, opts.policy.build(sys)),
                 llc: Llc::new(&sys.mem),
                 gemm: GemmEngine::new(&sys.gpu, grid.clone()),
                 tracker: Tracker::new(TrackerConfig::paper(grid.wf_tile_elems())),
                 chunks,
-                feed: VecDeque::new(),
-                rs_update_seen: 0,
+                local_bounds,
+                feed: Feed::new(grid),
                 dma_reading: None,
                 dma_queue: VecDeque::new(),
                 first_stage_done: false,
@@ -403,54 +344,41 @@ fn build_run(
             }
         })
         .collect();
-    (gpus, fabric, global_bounds)
+    (gpus, fabric)
 }
 
-/// Feeds one device's fabric arrivals for this cycle into its memory
-/// controller (phase A of the stepped loop). `ins` must be `Some`
-/// only for the instrumented device.
+/// Feeds one fabric arrival into its device's memory controller (phase
+/// A of a device's cycle). `ins` must be `Some` only for the
+/// instrumented device.
 fn deliver_incoming(
     gpu: &mut Gpu,
     now: Cycle,
-    incoming: &[Incoming],
+    arrival: Arrival,
     ctx: &StepCtx,
-    mut ins: Option<&mut Instruments>,
+    ins: Option<&mut Instruments>,
 ) {
-    for &inc in incoming {
-        if let Some(ins) = reborrow(&mut ins) {
-            ins.record(
-                now,
-                Event::ChunkRecv {
-                    chunk: inc.global_chunk as u64,
-                    bytes: inc.bytes,
-                },
-            );
-            ins.add("chunks.received", 1);
-        }
-        let pos = gpu
-            .chunks
-            .iter()
-            .position(|c| c.global_chunk == inc.global_chunk)
-            .expect("chunk routed to wrong GPU");
-        if !gpu.chunks[pos].feed_built {
-            for _ in 0..gpu.chunks[pos].incoming_passes {
-                build_feed(
-                    ctx.grid,
-                    ctx.global_bounds[inc.global_chunk],
-                    pos,
-                    &mut gpu.feed,
-                    ctx.elem_bytes,
-                );
-            }
-            gpu.chunks[pos].feed_built = true;
-        }
-        gpu.mc.enqueue(
-            StreamId::Comm,
-            TrafficClass::RsUpdate,
-            inc.bytes,
-            ctx.update_cost,
+    if let Some(ins) = ins {
+        ins.record(
+            now,
+            Event::ChunkRecv {
+                chunk: arrival.tag,
+                bytes: arrival.bytes,
+            },
         );
+        ins.add("chunks.received", 1);
     }
+    let pos = gpu
+        .chunks
+        .iter()
+        .position(|c| c.global_chunk as u64 == arrival.tag)
+        .expect("chunk routed to wrong GPU");
+    gpu.feed.announce(ctx.grid, &mut gpu.chunks, pos);
+    gpu.mc.enqueue(
+        StreamId::Comm,
+        TrafficClass::RsUpdate,
+        arrival.bytes,
+        ctx.update_cost,
+    );
 }
 
 /// One device's full per-cycle step: memory controller, incoming
@@ -469,30 +397,12 @@ fn step_device(
     gpu.mc.step_traced(now, None, reborrow(&mut ins));
 
     // Attribute serviced incoming updates.
-    let serviced = gpu.mc.stats().bytes(TrafficClass::RsUpdate);
-    if serviced > gpu.rs_update_seen {
-        let mut delta = serviced - gpu.rs_update_seen;
-        gpu.rs_update_seen = serviced;
-        while delta > 0 {
-            let entry = gpu.feed.front_mut().expect("serviced more than announced");
-            let take = delta.min(entry.region_bytes - entry.consumed_bytes);
-            entry.consumed_bytes += take;
-            delta -= take;
-            if entry.consumed_bytes == entry.region_bytes {
-                let e = *entry;
-                gpu.feed.pop_front();
-                let region_elems = e.region_bytes / ctx.elem_bytes;
-                let updates = gpu.chunks[e.position].route.updates_per_element();
-                if gpu
-                    .tracker
-                    .record_update(e.wf, e.addr, region_elems, region_elems, updates)
-                    .is_some()
-                {
-                    gpu.chunks[e.position].triggered_wfs += 1;
-                }
-            }
-        }
-    }
+    let chunks = &mut gpu.chunks;
+    gpu.feed.attribute(
+        gpu.mc.stats().bytes(TrafficClass::RsUpdate),
+        &mut gpu.tracker,
+        |e| chunks[e.position].triggered_wfs += 1,
+    );
 
     // GEMM progress.
     match gpu.gemm.step(now, &mut gpu.mc, &mut gpu.llc) {
@@ -526,55 +436,41 @@ fn step_device(
                 gpu.mc.observe_compute_intensity(frac);
                 gpu.first_stage_done = true;
             }
-            let mut wg = wg_start;
-            while wg < wg_end {
-                let pos = gpu
-                    .chunks
-                    .iter()
-                    .position(|c| wg >= c.wg_bounds.0 && wg < c.wg_bounds.1)
-                    .expect("wg outside chunk space");
-                let upper = gpu.chunks[pos].wg_bounds.1.min(wg_end);
-                // Bytes via the *global* chunk's tiles: local WG
-                // index offsets map 1:1 onto the rotated global
-                // range.
-                let (g0, _) = ctx.global_bounds[gpu.chunks[pos].global_chunk];
-                let local0 = gpu.chunks[pos].wg_bounds.0;
-                let bytes = ctx
-                    .grid
-                    .wg_range_output_bytes(g0 + (wg - local0), g0 + (upper - local0));
-                match gpu.chunks[pos].route {
+            for (pos, w0, w1) in split_at_chunks(&gpu.local_bounds, wg_start, wg_end) {
+                // Local WG offsets map 1:1 onto the chunk's rotated
+                // global range, whose tiles size the stores.
+                let c = &mut gpu.chunks[pos];
+                let (g0, local0) = (c.wg_bounds.0, gpu.local_bounds[pos].0);
+                let global = (g0 + (w0 - local0), g0 + (w1 - local0));
+                let bytes = ctx.grid.wg_range_output_bytes(global.0, global.1);
+                match c.route {
                     ChunkRoute::RemoteUpdate { .. } => {
-                        let dest = gpu.chunks[pos]
-                            .dest
-                            .expect("remote chunk has a destination");
-                        sink.send_update(
-                            now,
-                            d,
-                            dest,
-                            gpu.chunks[pos].global_chunk as u64,
-                            bytes,
-                            reborrow(&mut ins),
-                        );
+                        let dest = c.dest.expect("remote chunk has a destination");
+                        let tag = c.global_chunk as u64;
+                        sink.send_update(now, d, dest, tag, bytes, reborrow(&mut ins));
                     }
-                    ChunkRoute::LocalOnly { .. } | ChunkRoute::LocalThenDmaUpdate { .. } => {
+                    ChunkRoute::LocalOnly {
+                        updates_per_element,
+                    }
+                    | ChunkRoute::LocalThenDmaUpdate {
+                        updates_per_element,
+                        ..
+                    } => {
                         gpu.mc.enqueue(
                             StreamId::Compute,
                             TrafficClass::GemmWrite,
                             bytes,
                             ctx.update_cost,
                         );
-                        record_local(
+                        c.triggered_wfs += record_local_stores(
+                            &mut gpu.tracker,
                             ctx.grid,
-                            gpu,
-                            pos,
-                            g0 + (wg - local0),
-                            g0 + (upper - local0),
-                            ctx.elem_bytes,
+                            global,
+                            updates_per_element,
                         );
                     }
                     _ => unreachable!("fused RS uses no other routes"),
                 }
-                wg = upper;
             }
         }
     }
@@ -582,31 +478,26 @@ fn step_device(
     // DMA engine: one source read in flight, then the fabric.
     if let Some((pos, target)) = gpu.dma_reading {
         if gpu.mc.stats().bytes(TrafficClass::RsRead) >= target {
-            let chunk = gpu.chunks[pos].global_chunk as u64;
-            let payload = gpu.chunks[pos].bytes;
-            let dest = gpu.chunks[pos].dest.expect("DMA chunk has a destination");
-            sink.send_dma(now, d, dest, chunk, payload, reborrow(&mut ins));
+            let c = &gpu.chunks[pos];
+            let dest = c.dest.expect("DMA chunk has a destination");
+            let tag = c.global_chunk as u64;
+            sink.send_dma(now, d, dest, tag, c.bytes, reborrow(&mut ins));
             gpu.dma_transfers += 1;
             gpu.dma_reading = None;
         }
     }
     if gpu.dma_reading.is_none() {
         if let Some(pos) = gpu.dma_queue.pop_front() {
-            let target = gpu.mc.stats().bytes(TrafficClass::RsRead) + gpu.chunks[pos].bytes;
-            gpu.mc.enqueue(
-                StreamId::Comm,
-                TrafficClass::RsRead,
-                gpu.chunks[pos].bytes,
-                1.0,
-            );
+            let bytes = gpu.chunks[pos].bytes;
+            let target = gpu.mc.stats().bytes(TrafficClass::RsRead) + bytes;
+            gpu.mc
+                .enqueue(StreamId::Comm, TrafficClass::RsRead, bytes, 1.0);
             gpu.dma_reading = Some((pos, target));
         }
     }
     // Fire DMAs for completed steady-state chunks.
-    for pos in 0..gpu.chunks.len() {
-        let c = &mut gpu.chunks[pos];
-        if c.route.uses_dma() && !c.dma_fired && c.triggered_wfs == c.expected_wfs {
-            c.dma_fired = true;
+    for (pos, c) in gpu.chunks.iter_mut().enumerate() {
+        if c.fire_dma() {
             if let Some(ins) = reborrow(&mut ins) {
                 ins.record(
                     now,
@@ -624,13 +515,9 @@ fn step_device(
     // Completion bookkeeping (fabric payloads may still be in
     // flight toward a peer; that time belongs to the receiver,
     // which cannot finish before consuming them).
-    let chunks_done = gpu
-        .chunks
-        .iter()
-        .all(|c| !c.route.tracked() || c.triggered_wfs == c.expected_wfs);
     if gpu.finished_at.is_none()
         && gpu.gemm_done
-        && chunks_done
+        && gpu.chunks.iter().all(ChunkState::complete)
         && gpu.feed.is_empty()
         && gpu.dma_reading.is_none()
         && gpu.dma_queue.is_empty()
@@ -651,7 +538,8 @@ fn device_next_event(gpu: &Gpu, now: Cycle) -> Option<Cycle> {
     if gpu.dma_reading.is_some() || !gpu.dma_queue.is_empty() {
         return Some(now + 1);
     }
-    min_event(gpu.mc.next_event(now), gpu.gemm.next_event(now, &gpu.mc))
+    let events = [gpu.mc.next_event(now), gpu.gemm.next_event(now, &gpu.mc)];
+    events.into_iter().flatten().min()
 }
 
 /// Assembles the run result once every device has finished.
@@ -694,25 +582,20 @@ pub fn run_multi_gpu_fused_rs_on(
     topo: &Topology,
     mut ins: Option<&mut Instruments>,
 ) -> MultiGpuResult {
-    let (mut gpus, mut fabric, global_bounds) = build_run(sys, &grid, opts, topo);
+    let (mut gpus, mut fabric) = build_run(sys, &grid, opts, topo);
     let ctx = StepCtx {
         grid: &grid,
-        global_bounds: &global_bounds,
-        elem_bytes: grid.shape().elem_bytes,
         update_cost: opts.substrate.update_cost_multiplier(&sys.mem),
-        mode: opts.mode,
     };
 
-    let mut now: Cycle = 0;
+    let mut clock = Clock::new(opts.mode);
     loop {
+        let now = clock.now();
         for (d, gpu) in gpus.iter_mut().enumerate() {
             let mut dev_ins = if d == 0 { reborrow(&mut ins) } else { None };
-            let incoming: Vec<Incoming> = fabric
-                .deliveries_until(d, now)
-                .into_iter()
-                .map(Incoming::from)
-                .collect();
-            deliver_incoming(gpu, now, &incoming, &ctx, reborrow(&mut dev_ins));
+            for arrival in fabric.deliveries_until(d, now) {
+                deliver_incoming(gpu, now, arrival, &ctx, reborrow(&mut dev_ins));
+            }
             step_device(
                 gpu,
                 d,
@@ -727,26 +610,19 @@ pub fn run_multi_gpu_fused_rs_on(
         if all_done {
             break;
         }
-        // Fast-forward leap: with every memory controller drained the
-        // only future events are GEMM phase boundaries and fabric
-        // arrivals; jump straight to the earliest one, replaying the
-        // skipped idle cycles on each controller.
-        now = if ctx.mode == SimMode::FastForward && gpus.iter().all(|g| g.mc.is_idle()) {
-            let device_events = gpus.iter().filter_map(|g| device_next_event(g, now)).min();
-            match min_event(device_events, fabric.next_event(now)) {
-                Some(t) if t > now + 1 => {
-                    for (d, gpu) in gpus.iter_mut().enumerate() {
-                        let skip_ins = if d == 0 { reborrow(&mut ins) } else { None };
-                        gpu.mc.skip_idle(now + 1, t, skip_ins);
-                    }
-                    t
-                }
-                _ => now + 1,
+        // With every memory controller drained the only future events
+        // are GEMM phase boundaries and fabric arrivals.
+        let quiescent = gpus.iter().all(|g| g.mc.is_idle());
+        let gap = clock.advance(quiescent, || {
+            let devices = gpus.iter().filter_map(|g| device_next_event(g, now));
+            devices.chain(fabric.next_event(now)).min()
+        });
+        if let Some(gap) = gap {
+            for (d, gpu) in gpus.iter_mut().enumerate() {
+                let skip_ins = if d == 0 { reborrow(&mut ins) } else { None };
+                gpu.mc.skip_idle(gap.start, gap.end, skip_ins);
             }
-        } else {
-            now + 1
-        };
-        assert!(now < 4_000_000_000, "multi-GPU run failed to converge");
+        }
     }
 
     let result = finish_result(&gpus, &fabric);
@@ -772,40 +648,33 @@ pub fn run_multi_gpu_fused_rs_on(
     result
 }
 
-/// Simulates one device across the window `[t0, t_end)`, consuming its
-/// pre-popped fabric arrivals and buffering outgoing sends into
-/// `intents`. Fast-forward mode leaps idle gaps inside the window
-/// exactly as the sequential engine does, clamped to the window end.
+/// Simulates one device across the window `clock` bounds, consuming
+/// its pre-popped fabric arrivals and buffering outgoing sends into
+/// `intents`. Fast-forward leaps idle gaps inside the window exactly
+/// as the sequential engine does, clamped to the window end.
 fn simulate_device_window(
     gpu: &mut Gpu,
     d: usize,
-    t0: Cycle,
-    t_end: Cycle,
+    mut clock: Clock,
     pend: &mut VecDeque<Arrival>,
     ctx: &StepCtx,
     intents: &mut Vec<SendIntent>,
 ) {
-    let mut now = t0;
-    while now < t_end {
-        let mut incoming = Vec::new();
-        while pend.front().is_some_and(|a| a.arrival <= now) {
-            let a = pend.pop_front().expect("peeked entry exists");
-            incoming.push(Incoming::from(a));
+    while clock.running() {
+        let now = clock.now();
+        while let Some(&arrival) = pend.front().filter(|a| a.arrival <= now) {
+            pend.pop_front();
+            deliver_incoming(gpu, now, arrival, ctx, None);
         }
-        deliver_incoming(gpu, now, &incoming, ctx, None);
         step_device(gpu, d, now, ctx, &mut SendSink::Buffer(intents), None);
 
-        let mut next = now + 1;
-        if ctx.mode == SimMode::FastForward && gpu.mc.is_idle() {
+        let gap = clock.advance(gpu.mc.is_idle(), || {
             let pend_at = pend.front().map(|a| a.arrival.max(now + 1));
-            let target =
-                min_event(device_next_event(gpu, now), pend_at).map_or(t_end, |t| t.min(t_end));
-            if target > next {
-                gpu.mc.skip_idle(next, target, None);
-                next = target;
-            }
+            device_next_event(gpu, now).into_iter().chain(pend_at).min()
+        });
+        if let Some(gap) = gap {
+            gpu.mc.skip_idle(gap.start, gap.end, None);
         }
-        now = next;
     }
 }
 
@@ -821,7 +690,7 @@ fn simulate_device_window(
 /// outgoing fabric sends; at the barrier the coordinator replays the
 /// buffered sends into the shared fabric in the exact
 /// `(cycle, device, program order)` the sequential loop would have
-/// used, making the run byte-identical to the sequential engines at
+/// used, making the run byte-identical to the sequential engine at
 /// every thread width.
 ///
 /// Worker panics are re-raised on the coordinator in shard order
@@ -842,13 +711,10 @@ pub fn run_multi_gpu_fused_rs_sharded(
 ) -> MultiGpuResult {
     let n = sys.num_gpus;
     let threads = threads.clamp(1, n);
-    let (mut gpus, mut fabric, global_bounds) = build_run(sys, &grid, opts, topo);
+    let (mut gpus, mut fabric) = build_run(sys, &grid, opts, topo);
     let ctx = StepCtx {
         grid: &grid,
-        global_bounds: &global_bounds,
-        elem_bytes: grid.shape().elem_bytes,
         update_cost: opts.substrate.update_cost_multiplier(&sys.mem),
-        mode: opts.mode,
     };
     let window: Cycle = 1 + topo
         .links()
@@ -879,11 +745,11 @@ pub fn run_multi_gpu_fused_rs_sharded(
                         for (i, (gpu, pend)) in
                             gpu_shard.iter_mut().zip(pend_shard.iter_mut()).enumerate()
                         {
+                            let clock = Clock::bounded(opts.mode, t0, t_end);
                             simulate_device_window(
                                 gpu,
                                 w * per + i,
-                                t0,
-                                t_end,
+                                clock,
                                 pend,
                                 ctx,
                                 &mut intents,
@@ -915,95 +781,15 @@ pub fn run_multi_gpu_fused_rs_sharded(
             "window left arrivals unconsumed"
         );
 
+        // The device clocks guard convergence: each window runs every
+        // device's clock up to `t_end`.
         t0 = t_end;
         if gpus.iter().all(|g| g.finished_at.is_some()) && fabric.is_idle(t0 - 1) {
             break;
         }
-        assert!(t0 < 4_000_000_000, "multi-GPU run failed to converge");
     }
 
     finish_result(&gpus, &fabric)
-}
-
-fn build_policy(
-    opts: &FusedOptions,
-    sys: &SystemConfig,
-) -> Box<dyn t3_mem::arbiter::ArbitrationPolicy> {
-    use crate::engine::PolicyChoice;
-    use t3_mem::arbiter::{ComputeFirstPolicy, McaPolicy, RoundRobinPolicy};
-    match opts.policy {
-        PolicyChoice::RoundRobin => Box::new(RoundRobinPolicy::new()),
-        PolicyChoice::ComputeFirst => Box::new(ComputeFirstPolicy::new()),
-        PolicyChoice::McaDynamic => Box::new(McaPolicy::new(&sys.mem)),
-        PolicyChoice::McaFixed(t) => Box::new(McaPolicy::with_fixed_threshold(t)),
-    }
-}
-
-fn count_nonempty_wfs(grid: &GemmGrid, w0: u64, w1: u64) -> usize {
-    let wfs = grid.wfs_per_wg();
-    (w0..w1)
-        .map(|wg| {
-            let h = grid.wg_tile(wg).height as usize;
-            (0..wfs)
-                .filter(|&wf| {
-                    let (r0, r1) = crate::fused::wf_rows(h, wfs, wf);
-                    r1 > r0
-                })
-                .count()
-        })
-        .sum()
-}
-
-fn build_feed(
-    grid: &GemmGrid,
-    global_bounds: (u64, u64),
-    position: usize,
-    feed: &mut VecDeque<FeedEntry>,
-    elem_bytes: u64,
-) {
-    let wfs = grid.wfs_per_wg();
-    for wg in global_bounds.0..global_bounds.1 {
-        let t = grid.wg_tile(wg);
-        let (region_addr, _) = grid.wg_output_region(wg);
-        for wf in 0..wfs {
-            let (r0, r1) = crate::fused::wf_rows(t.height as usize, wfs, wf);
-            let region_bytes = ((r1 - r0) as u64) * t.width * elem_bytes;
-            if region_bytes == 0 {
-                continue;
-            }
-            feed.push_back(FeedEntry {
-                position,
-                wf: WfId { wg, wf },
-                addr: region_addr + (r0 as u64) * t.width * elem_bytes,
-                region_bytes,
-                consumed_bytes: 0,
-            });
-        }
-    }
-}
-
-fn record_local(grid: &GemmGrid, gpu: &mut Gpu, pos: usize, w0: u64, w1: u64, elem_bytes: u64) {
-    let wfs = grid.wfs_per_wg();
-    let updates = gpu.chunks[pos].route.updates_per_element();
-    for wg in w0..w1 {
-        let t = grid.wg_tile(wg);
-        let (region_addr, _) = grid.wg_output_region(wg);
-        for wf in 0..wfs {
-            let (r0, r1) = crate::fused::wf_rows(t.height as usize, wfs, wf);
-            let elems = ((r1 - r0) as u64) * t.width;
-            if elems == 0 {
-                continue;
-            }
-            let addr = region_addr + (r0 as u64) * t.width * elem_bytes;
-            if gpu
-                .tracker
-                .record_update(WfId { wg, wf }, addr, elems, elems, updates)
-                .is_some()
-            {
-                gpu.chunks[pos].triggered_wfs += 1;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1011,6 +797,7 @@ mod tests {
     use super::*;
     use crate::engine::run_fused_gemm_rs;
     use t3_gpu::gemm::GemmShape;
+    use t3_sim::SimMode;
 
     fn sys() -> SystemConfig {
         SystemConfig::paper_default()

@@ -27,8 +27,9 @@ use crate::configs::Configuration;
 use t3_gpu::collective::{reference_ring_rs_cycles, CollectiveKind, RingCollective};
 use t3_gpu::engine::{run_gemm_isolated, WritePolicy};
 use t3_gpu::gemm::{GemmGrid, GemmShape};
+use t3_sim::clock::Clock;
 use t3_sim::config::SystemConfig;
-use t3_sim::{Bytes, Cycle};
+use t3_sim::{Bytes, Cycle, SimMode};
 
 /// One row of the Figure 6 CU-split study.
 #[derive(Debug, Clone, PartialEq)]
@@ -180,15 +181,17 @@ pub fn coarse_overlap_study(
 
     // Contended run: the communication stream receives its traffic in
     // chunk-sized bursts spread over the expected GEMM duration.
-    let mut mc = MemoryController::new(&sys.mem, build_policy(policy, sys));
+    let mut mc = MemoryController::new(&sys.mem, policy.build(sys));
     let mut llc = Llc::new(&sys.mem);
     let mut gemm = GemmEngine::new(&sys.gpu, grid.clone());
     let bursts = 16u64.min(comm_bytes / sys.mem.txn_bytes).max(1);
     let burst_bytes = comm_bytes / bursts;
     let burst_interval = (isolated.cycles / (bursts + 1)).max(1);
     let mut issued = 0u64;
-    let mut now: Cycle = 0;
+    // Bursts are polled every cycle: never quiescent.
+    let mut clock = Clock::new(SimMode::Stepped);
     let contended = loop {
+        let now = clock.now();
         mc.step(now, None);
         if issued < bursts && now >= (issued + 1) * burst_interval {
             let class = if issued.is_multiple_of(2) {
@@ -218,34 +221,18 @@ pub fn coarse_overlap_study(
                 let flush = llc.flush_dirty();
                 mc.enqueue(StreamId::Compute, TrafficClass::GemmWrite, flush, 1.0);
                 while mc.pending_bytes(StreamId::Compute) > 0 {
-                    now += 1;
-                    mc.step(now, None);
-                    assert!(now < 4_000_000_000, "drain failed to converge");
+                    clock.advance(false, || None);
+                    mc.step(clock.now(), None);
                 }
-                break now;
+                break clock.now();
             }
         }
-        now += 1;
-        assert!(now < 4_000_000_000, "contended GEMM failed to converge");
+        clock.advance(false, || None);
     };
     CoarseOverlapRow {
         isolated_gemm_cycles: isolated.cycles,
         contended_gemm_cycles: contended,
         gemm_slowdown: contended as f64 / isolated.cycles as f64,
-    }
-}
-
-fn build_policy(
-    policy: crate::engine::PolicyChoice,
-    sys: &SystemConfig,
-) -> Box<dyn t3_mem::arbiter::ArbitrationPolicy> {
-    use crate::engine::PolicyChoice;
-    use t3_mem::arbiter::{ComputeFirstPolicy, McaPolicy, RoundRobinPolicy};
-    match policy {
-        PolicyChoice::RoundRobin => Box::new(RoundRobinPolicy::new()),
-        PolicyChoice::ComputeFirst => Box::new(ComputeFirstPolicy::new()),
-        PolicyChoice::McaDynamic => Box::new(McaPolicy::new(&sys.mem)),
-        PolicyChoice::McaFixed(t) => Box::new(McaPolicy::with_fixed_threshold(t)),
     }
 }
 
@@ -393,6 +380,20 @@ mod tests {
             rr.gemm_slowdown
         );
         assert!(mca.contended_gemm_cycles >= mca.isolated_gemm_cycles);
+    }
+
+    #[test]
+    fn coarse_overlap_rows_are_pinned() {
+        use crate::engine::PolicyChoice;
+        let s = sys();
+        let shape = GemmShape::new(2048, 4256, 2128);
+        for (policy, want) in [
+            (PolicyChoice::RoundRobin, "CoarseOverlapRow { isolated_gemm_cycles: 711884, contended_gemm_cycles: 823512, gemm_slowdown: 1.1568064459940102 }"),
+            (PolicyChoice::McaDynamic, "CoarseOverlapRow { isolated_gemm_cycles: 711884, contended_gemm_cycles: 711907, gemm_slowdown: 1.0000323086345528 }"),
+        ] {
+            let row = coarse_overlap_study(&s, &shape, 128 << 20, policy);
+            assert_eq!(format!("{row:?}"), want, "{policy:?}");
+        }
     }
 
     #[test]

@@ -23,6 +23,7 @@
 use crate::gemm::GemmGrid;
 use t3_mem::controller::{MemoryController, StreamId};
 use t3_mem::llc::{AccessKind, Llc};
+use t3_sim::clock::Clock;
 use t3_sim::config::GpuConfig;
 use t3_sim::stats::TrafficClass;
 use t3_sim::{Bytes, Cycle, SimMode};
@@ -334,10 +335,10 @@ pub fn run_gemm_isolated_traced(
     run_gemm_isolated_traced_in_mode(sys, grid, write_policy, bucket, SimMode::default())
 }
 
-/// The isolated runner with an explicit [`SimMode`]. In
-/// [`SimMode::FastForward`] the loop leaps `now` to the engine's next
+/// The isolated runner with an explicit [`SimMode`]. Time advances on a
+/// [`Clock`]: in [`SimMode::FastForward`] it leaps to the engine's next
 /// event whenever the memory controller is idle (compute phases with no
-/// traffic in flight), replaying the skipped controller bookkeeping via
+/// traffic in flight), and the loop replays the skipped gap via
 /// [`MemoryController::skip_idle`]; results are byte-identical to
 /// [`SimMode::Stepped`].
 pub fn run_gemm_isolated_traced_in_mode(
@@ -354,9 +355,10 @@ pub fn run_gemm_isolated_traced_in_mode(
     let mut llc = Llc::new(&sys.mem);
     let mut engine = GemmEngine::new(&sys.gpu, grid);
     let mut ts = bucket.map(t3_sim::timeseries::TimeSeries::new);
-    let mut now: Cycle = 0;
+    let mut clock = Clock::new(mode);
     let mut finished = false;
     while !finished || !mc.is_idle() {
+        let now = clock.now();
         mc.step(now, ts.as_mut());
         match engine.step(now, &mut mc, &mut llc) {
             GemmEvent::Idle => {}
@@ -380,21 +382,13 @@ pub fn run_gemm_isolated_traced_in_mode(
                 finished = true;
             }
         }
-        let mut next = now + 1;
-        if mode == SimMode::FastForward && mc.is_idle() {
-            if let Some(target) = engine.next_event(now, &mc) {
-                if target > next {
-                    mc.skip_idle(next, target, None);
-                    next = target;
-                }
-            }
+        if let Some(gap) = clock.advance(mc.is_idle(), || engine.next_event(now, &mc)) {
+            mc.skip_idle(gap.start, gap.end, None);
         }
-        now = next;
-        assert!(now < 2_000_000_000, "isolated GEMM failed to converge");
     }
     (
         IsolatedGemmRun {
-            cycles: now,
+            cycles: clock.now(),
             stats: mc.stats().clone(),
         },
         ts,

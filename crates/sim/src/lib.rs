@@ -12,6 +12,8 @@
 //! * [`rng`] — a deterministic SplitMix64 generator for randomized
 //!   tests and workloads (the workspace builds offline, with no
 //!   external crates).
+//! * [`clock`] — the one time-advance driver every engine loop runs
+//!   on: stepping, fast-forward leaps and the convergence guard.
 //!
 //! The timing simulator is *cycle-stepped*: components expose
 //! `step(now)`-style methods and exchange work in units of 256-byte
@@ -29,6 +31,7 @@
 //! assert!((cfg.mem.bytes_per_cycle() - 714.28).abs() < 1.0);
 //! ```
 
+pub mod clock;
 pub mod config;
 pub mod rng;
 pub mod stats;
@@ -47,8 +50,9 @@ pub type Bytes = u64;
 /// over provably-idle gaps: whenever no component has work before the
 /// minimum `next_event` cycle, the loop replays the skipped cycles'
 /// bookkeeping in closed form and jumps. [`SimMode::Stepped`] is the
-/// original cycle-by-cycle reference path, kept behind this flag as
-/// the equivalence oracle for the determinism tests.
+/// original cycle-by-cycle reference path: the same driver with leaping
+/// off ([`clock::Clock`]), the equivalence oracle for the determinism
+/// tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimMode {
     /// Advance one cycle at a time (the reference engine).
