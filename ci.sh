@@ -12,9 +12,9 @@ echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> t3-lint (determinism & fidelity gate, SARIF artifact)"
-# Fails on any diagnostic not grandfathered in lint-baseline.txt;
-# baselined findings stay visible in the output and in the SARIF
-# artifact (note-level results with suppression records).
+# Fails on any diagnostic. The only suppressions are inline
+# `t3-lint: allow(<rule>) -- <reason>` directives, so the SARIF
+# artifact holds error-level results only (none on a clean tree).
 cargo run --release -q -p t3-lint -- --sarif target/t3-lint.sarif
 
 echo "==> cargo doc (deny warnings)"
@@ -50,8 +50,8 @@ echo "==> figures sweep smoke (spec frontend, --report)"
 
 echo "==> t3-prof perf-trajectory gate (vs BENCH_10.json)"
 # Simulated-cycle regression gate against the checked-in baseline.
-# For an intentional perf change, run with T3_PROF_NO_GATE=1 and
-# refresh the baseline in the same change:
+# For an intentional perf change, regenerate the baseline in the same
+# change and rerun this script:
 #   ./target/release/figures all examples/specs/gpt3_3d_sweep.t3w \
 #       examples/specs/hierarchical.t3s --fast --jobs 2 --report BENCH_10.json
 ./target/release/t3-prof check target/bench_report.json BENCH_10.json

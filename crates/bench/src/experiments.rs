@@ -1029,20 +1029,22 @@ pub fn traced_tnlg_sublayer_in_mode(
 // Engine speedup
 // ---------------------------------------------------------------------
 
-/// Minimum wall time of `f` over `iters` timed runs (plus one untimed
-/// warm-up), in nanoseconds. Min-of-N is the standard noise filter for
-/// a deterministic workload: every sample runs identical work, so the
-/// fastest one is the least-perturbed measurement.
-fn wall_ns_min<R>(iters: u32, mut f: impl FnMut() -> R) -> u128 {
-    std::hint::black_box(f());
-    (0..iters)
+/// The result of one untimed warm-up run of `f`, and the minimum wall
+/// time of `iters` further timed runs, in nanoseconds. Min-of-N is the
+/// standard noise filter for a deterministic workload: every sample
+/// runs identical work, so the fastest one is the least-perturbed
+/// measurement.
+fn wall_ns_min<R>(iters: u32, mut f: impl FnMut() -> R) -> (R, u128) {
+    let warm = f();
+    let ns = (0..iters)
         .map(|_| {
             let start = std::time::Instant::now();
             std::hint::black_box(f());
             start.elapsed().as_nanos()
         })
         .min()
-        .expect("at least one iteration")
+        .expect("at least one iteration");
+    (warm, ns)
 }
 
 /// The `ff-speedup` target: runs the two long-burn simulator loops —
@@ -1070,14 +1072,12 @@ pub fn ff_speedup(scale: ExperimentScale) -> (Table, Vec<(String, u64)>) {
     let mut best_permille = 0u64;
 
     let mut case = |name: &str, t: &mut Table, run: &mut dyn FnMut(SimMode) -> u64| {
-        let stepped_cycles = run(SimMode::Stepped);
-        let ff_cycles = run(SimMode::FastForward);
+        let (stepped_cycles, stepped_ns) = wall_ns_min(ITERS, || run(SimMode::Stepped));
+        let (ff_cycles, ff_ns) = wall_ns_min(ITERS, || run(SimMode::FastForward));
         assert_eq!(
             stepped_cycles, ff_cycles,
             "{name}: fast-forward must be cycle-identical to stepped"
         );
-        let stepped_ns = wall_ns_min(ITERS, || run(SimMode::Stepped));
-        let ff_ns = wall_ns_min(ITERS, || run(SimMode::FastForward));
         let permille = (stepped_ns * 1000 / ff_ns.max(1)) as u64;
         best_permille = best_permille.max(permille);
         metrics.push((format!("speedup_wall_permille.{name}"), permille));

@@ -125,6 +125,8 @@ impl ChunkRoute {
 pub struct OutputConfig {
     routes: Vec<ChunkRoute>,
     chunk_ids: Vec<usize>,
+    /// Inverse of `chunk_ids`: the local position of each chunk id.
+    positions: Vec<usize>,
 }
 
 impl OutputConfig {
@@ -155,12 +157,9 @@ impl OutputConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the chunk is not in the configuration.
+    /// Panics if `chunk` is out of range.
     pub fn position_of_chunk(&self, chunk: usize) -> usize {
-        self.chunk_ids
-            .iter()
-            .position(|&c| c == chunk)
-            .expect("chunk not present in configuration")
+        self.positions[chunk]
     }
 
     /// The fused ring reduce-scatter configuration of Figures 7/11/12
@@ -194,15 +193,39 @@ impl OutputConfig {
         let n = ring.len();
         assert!(device < n, "device out of range");
         assert!(split_k >= 1, "split_k must be at least 1");
-        let next = ring.next(device);
+        Self::ring_schedule(n, |p| (device + n - p) % n, ring.next(device), split_k)
+    }
+
+    /// The mirror image of [`OutputConfig::ring_reduce_scatter`]:
+    /// position `p` computes chunk `(device + p) mod N` and every
+    /// non-owned chunk goes to `prev(device)`. Routes and thresholds
+    /// per position are unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `device` is out of range.
+    pub(crate) fn ring_reduce_scatter_ascending(ring: Ring, device: usize) -> Self {
+        let n = ring.len();
+        assert!(device < n, "device out of range");
+        Self::ring_schedule(n, |p| (device + p) % n, ring.prev(device), 1)
+    }
+
+    /// A ring reduce-scatter computing `chunk_at(p)` at position `p`
+    /// and sending toward the neighbour `dest`.
+    fn ring_schedule(
+        n: usize,
+        chunk_at: impl Fn(usize) -> usize,
+        dest: usize,
+        split_k: u32,
+    ) -> Self {
         let mut b = ConfigBuilder::new(n);
         for p in 0..n {
-            let chunk = (device + n - p) % n;
+            let chunk = chunk_at(p);
             let updates = if p == 1 { 2 * split_k } else { split_k + 1 };
             if p == 0 {
-                b = b.remote_map_update(chunk, next);
+                b = b.remote_map_update(chunk, dest);
             } else if p < n - 1 {
-                b = b.dma_map_update(chunk, next, updates);
+                b = b.dma_map_update(chunk, dest, updates);
             } else {
                 b = b.local(chunk, updates);
             }
@@ -246,16 +269,16 @@ impl OutputConfig {
         let mut receives: Vec<u32> = vec![0; n];
         let mut b = ConfigBuilder::new(n);
         for step in sched.steps() {
-            let send = step
-                .iter()
-                .find(|s| s.src == device)
-                .expect("every device sends in every step");
-            let prior = receives[send.chunk];
-            b = if prior == 0 {
-                b.remote_map_update(send.chunk, send.dst)
-            } else {
-                b.dma_map_update(send.chunk, send.dst, prior + 1)
-            };
+            // A schedule that skips this device in some step leaves a
+            // chunk unrouted, which `build` rejects.
+            if let Some(send) = step.iter().find(|s| s.src == device) {
+                let prior = receives[send.chunk];
+                b = if prior == 0 {
+                    b.remote_map_update(send.chunk, send.dst)
+                } else {
+                    b.dma_map_update(send.chunk, send.dst, prior + 1)
+                };
+            }
             for s in step {
                 if s.dst == device {
                     receives[s.chunk] += 1;
@@ -381,9 +404,17 @@ impl ConfigBuilder {
             self.num_chunks,
             "every chunk needs a route"
         );
+        // `push` rejects duplicate and out-of-range ids, so the ids are
+        // a permutation of `0..num_chunks` and every chunk gets its
+        // position here.
+        let mut positions = vec![0; self.num_chunks];
+        for (p, &chunk) in self.chunk_ids.iter().enumerate() {
+            positions[chunk] = p;
+        }
         OutputConfig {
             routes: self.routes,
             chunk_ids: self.chunk_ids,
+            positions,
         }
     }
 }

@@ -194,8 +194,7 @@ fn next_release(pending: &[PendingIncoming], now: Cycle) -> Option<Cycle> {
 ///
 /// # Panics
 ///
-/// Panics if `opts.substrate` cannot reduce in memory, or if the
-/// simulation fails to converge (an internal error).
+/// Panics if the simulation fails to converge (an internal error).
 pub fn run_fused_gemm_rs(
     sys: &SystemConfig,
     grid: GemmGrid,
@@ -221,10 +220,6 @@ pub fn run_fused_gemm_rs_instrumented(
     opts: &FusedOptions,
     mut ins: Option<&mut Instruments>,
 ) -> FusedRunResult {
-    assert!(
-        opts.substrate.reduces_in_memory(),
-        "fused T3 requires an in-memory reduction substrate"
-    );
     let n = sys.num_gpus;
     let config = OutputConfig::ring_reduce_scatter(Ring::new(n), 0);
     let update_cost = opts.substrate.update_cost_multiplier(&sys.mem);
@@ -242,7 +237,7 @@ pub fn run_fused_gemm_rs_instrumented(
         .map(|p| {
             let route = config.route(p);
             let passes = usize::from(p >= 1);
-            ChunkState::new(&grid, p, bounds[p], route, route.destination(), passes)
+            ChunkState::new(&grid, p, bounds[p], route, passes)
         })
         .collect();
     let mut incoming_announced: Vec<Bytes> = vec![0; n];
@@ -430,7 +425,7 @@ pub fn run_fused_gemm_rs_instrumented(
 
         // 5. Fire DMAs for completed steady-state chunks.
         for (pos, chunk) in chunks.iter_mut().enumerate() {
-            if chunk.fire_dma() {
+            if chunk.fire_dma().is_some() {
                 dma_transfers += 1;
                 if let Some(ins) = reborrow(&mut ins) {
                     ins.record(
@@ -518,17 +513,12 @@ pub fn run_fused_gemm_rs_instrumented(
 ///
 /// # Panics
 ///
-/// Panics if `opts.substrate` cannot reduce in memory or the
-/// simulation fails to converge.
+/// Panics if the simulation fails to converge.
 pub fn run_fused_gemm_direct_rs(
     sys: &SystemConfig,
     grid: GemmGrid,
     opts: &FusedOptions,
 ) -> FusedRunResult {
-    assert!(
-        opts.substrate.reduces_in_memory(),
-        "fused T3 requires an in-memory reduction substrate"
-    );
     let config = OutputConfig::direct_reduce_scatter(sys.num_gpus, 0);
     run_fused_direct(sys, grid, opts, &config)
 }
@@ -992,18 +982,5 @@ mod tests {
                 assert_eq!(format!("{r:?}"), want, "{}", mode.label());
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "in-memory reduction substrate")]
-    fn cu_substrate_rejected() {
-        let s = sys();
-        let _ = fused(
-            &s,
-            &FusedOptions {
-                substrate: ReductionSubstrate::ComputeUnits,
-                ..FusedOptions::default()
-            },
-        );
     }
 }

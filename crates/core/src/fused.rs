@@ -370,12 +370,6 @@ fn run_fused(
         .iter()
         .map(|&(w0, w1)| (wg_elem_start[w0 as usize], wg_elem_start[w1 as usize]))
         .collect();
-    let chunk_of_wg = |wg: u64| -> usize {
-        chunk_wg_bounds
-            .iter()
-            .position(|&(w0, w1)| wg >= w0 && wg < w1)
-            .expect("wg outside all chunks")
-    };
 
     // Expected non-empty WFs per chunk (same for all devices).
     let wfs = grid.wfs_per_wg();
@@ -410,16 +404,16 @@ fn run_fused(
 
     let mut dma_transfers = 0u64;
 
-    // Records updates for the WFs of `wg` at `device`, with the
-    // tile already laid out at `region_start`.
+    // Records updates for the WFs of `wg` (in `chunk`) at `device`,
+    // with the tile already laid out at `region_start`.
     let record_wg = |devices: &mut Vec<DeviceState>,
                      configs: &[OutputConfig],
                      device: usize,
+                     chunk: usize,
                      wg: u64,
                      height: usize,
                      width: usize,
                      region_start: usize| {
-        let chunk = chunk_of_wg(wg);
         let pos = configs[device].position_of_chunk(chunk);
         if !configs[device].route(pos).tracked() {
             return;
@@ -488,18 +482,18 @@ fn run_fused(
                     match route {
                         ChunkRoute::LocalOnly { .. } | ChunkRoute::LocalThenDmaUpdate { .. } => {
                             outputs[d].update_slice(region_start, &tile);
-                            record_wg(&mut devices, configs, d, wg, h, w, region_start);
+                            record_wg(&mut devices, configs, d, chunk, wg, h, w, region_start);
                         }
                         ChunkRoute::LocalThenDmaStore { .. } => {
                             assert_eq!(split_k, 1, "store routes cannot be split-K");
                             outputs[d].store_slice(region_start, &tile);
-                            record_wg(&mut devices, configs, d, wg, h, w, region_start);
+                            record_wg(&mut devices, configs, d, chunk, wg, h, w, region_start);
                         }
                         ChunkRoute::RemoteUpdate { device } => {
                             // Fine-grained peer-to-peer updates; tracked
                             // at the destination.
                             outputs[device].update_slice(region_start, &tile);
-                            record_wg(&mut devices, configs, device, wg, h, w, region_start);
+                            record_wg(&mut devices, configs, device, chunk, wg, h, w, region_start);
                         }
                         ChunkRoute::RemoteStore { device } => {
                             assert_eq!(split_k, 1, "store routes cannot be split-K");
@@ -524,11 +518,11 @@ fn run_fused(
         // Phase 2: Tracker-triggered DMAs for position-p chunks.
         for d in 0..n_dev {
             let cfg = &configs[d];
-            let route = cfg.route(p);
-            if !route.uses_dma() {
-                continue;
-            }
-            let dest = route.destination().expect("DMA route has a destination");
+            let (dest, reduce) = match cfg.route(p) {
+                ChunkRoute::LocalThenDmaUpdate { device, .. } => (device, true),
+                ChunkRoute::LocalThenDmaStore { device } => (device, false),
+                _ => continue,
+            };
             assert_eq!(
                 devices[d].triggered_wfs[p], devices[d].expected_wfs[p],
                 "device {d}: DMA for position {p} fired before tracking completed"
@@ -536,14 +530,10 @@ fn run_fused(
             let chunk = cfg.chunk_id(p);
             let (s, e) = chunk_ranges[chunk];
             let data = outputs[d].as_slice()[s..e].to_vec();
-            match route {
-                ChunkRoute::LocalThenDmaUpdate { .. } => {
-                    outputs[dest].update_slice(s, &data);
-                }
-                ChunkRoute::LocalThenDmaStore { .. } => {
-                    outputs[dest].store_slice(s, &data);
-                }
-                _ => unreachable!(),
+            if reduce {
+                outputs[dest].update_slice(s, &data);
+            } else {
+                outputs[dest].store_slice(s, &data);
             }
             dma_transfers += 1;
             // The DMA carries (wg, wf) metadata so the destination
@@ -555,6 +545,7 @@ fn run_fused(
                     &mut devices,
                     configs,
                     dest,
+                    chunk,
                     wg,
                     t.height as usize,
                     t.width as usize,

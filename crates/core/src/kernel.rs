@@ -70,31 +70,21 @@ pub(crate) fn record_local_stores(
         .count()
 }
 
-/// Index of the chunk whose WG range holds `wg`.
-fn chunk_of_wg(bounds: &[(u64, u64)], wg: u64) -> usize {
-    bounds
-        .iter()
-        .position(|&(w0, w1)| wg >= w0 && wg < w1)
-        .expect("wg outside chunk space")
-}
-
 /// Splits a GEMM stage's WGs `[wg_start, wg_end)` at the chunk
-/// boundaries in `bounds`, yielding `(position, w0, w1)` per chunk the
-/// stage touches.
+/// boundaries in `bounds` (ascending WG ranges that tile the grid),
+/// yielding `(position, w0, w1)` per chunk the stage touches.
 pub(crate) fn split_at_chunks(
     bounds: &[(u64, u64)],
     wg_start: u64,
     wg_end: u64,
 ) -> impl Iterator<Item = (usize, u64, u64)> + '_ {
-    let mut wg = wg_start;
-    std::iter::from_fn(move || {
-        (wg < wg_end).then(|| {
-            let pos = chunk_of_wg(bounds, wg);
-            let (w0, w1) = (wg, bounds[pos].1.min(wg_end));
-            wg = w1;
-            (pos, w0, w1)
+    bounds
+        .iter()
+        .enumerate()
+        .filter_map(move |(pos, &(w0, w1))| {
+            let (w0, w1) = (w0.max(wg_start), w1.min(wg_end));
+            (w0 < w1).then_some((pos, w0, w1))
         })
-    })
 }
 
 /// One output chunk at a local position of the device's schedule.
@@ -106,9 +96,6 @@ pub(crate) struct ChunkState {
     pub wg_bounds: (u64, u64),
     pub bytes: Bytes,
     pub route: ChunkRoute,
-    /// Destination device of outgoing data (`None` for the owned
-    /// chunk).
-    pub dest: Option<usize>,
     /// Full passes of incoming updates the chunk expects.
     pub incoming_passes: usize,
     pub triggered_wfs: usize,
@@ -123,7 +110,6 @@ impl ChunkState {
         global_chunk: usize,
         wg_bounds: (u64, u64),
         route: ChunkRoute,
-        dest: Option<usize>,
         incoming_passes: usize,
     ) -> Self {
         ChunkState {
@@ -131,7 +117,6 @@ impl ChunkState {
             wg_bounds,
             bytes: grid.wg_range_output_bytes(wg_bounds.0, wg_bounds.1),
             route,
-            dest,
             incoming_passes,
             triggered_wfs: 0,
             expected_wfs: if route.tracked() {
@@ -149,13 +134,18 @@ impl ChunkState {
         !self.route.tracked() || self.triggered_wfs == self.expected_wfs
     }
 
-    /// True exactly once for a DMA-routed chunk: when its last
-    /// wavefront triggers and the pre-programmed DMA fires.
-    pub(crate) fn fire_dma(&mut self) -> bool {
-        let fire =
-            self.route.uses_dma() && !self.dma_fired && self.triggered_wfs == self.expected_wfs;
+    /// The DMA's destination device, exactly once for a DMA-routed
+    /// chunk: when its last wavefront triggers and the pre-programmed
+    /// DMA fires.
+    pub(crate) fn fire_dma(&mut self) -> Option<usize> {
+        let device = match self.route {
+            ChunkRoute::LocalThenDmaUpdate { device, .. }
+            | ChunkRoute::LocalThenDmaStore { device } => device,
+            _ => return None,
+        };
+        let fire = !self.dma_fired && self.triggered_wfs == self.expected_wfs;
         self.dma_fired |= fire;
-        fire
+        fire.then_some(device)
     }
 }
 
@@ -245,6 +235,7 @@ impl Feed {
         let mut delta = serviced - self.attributed;
         self.attributed = serviced;
         while delta > 0 {
+            // t3-lint: allow(panic-reachable) -- the controller services only enqueued comm bytes, and every enqueue follows an announce that queued the chunk's full feed
             let e = *self.entries.front().expect("serviced more than announced");
             let region_bytes = e.elems * self.elem_bytes;
             let take = delta.min(region_bytes - self.front_consumed);

@@ -17,9 +17,9 @@
 //!   position `p` and sends to `prev(d)`. Position 0 leaves as
 //!   fine-grained remote stores; positions `1..=N-2` as
 //!   Tracker-triggered DMA updates; the last position is the owned
-//!   chunk. The per-position routes come from the schedule-derived
-//!   [`OutputConfig`], which reproduces the hand-built ring
-//!   configuration bit-for-bit.
+//!   chunk. Each device's routes come from
+//!   `OutputConfig::ring_reduce_scatter_ascending`, the mirror image
+//!   of the schedule-derived ring configuration.
 //! * **Every other fabric** (switch, torus, hierarchical,
 //!   fully-connected) runs the direct schedule (Section 7.1): each
 //!   non-owned chunk streams straight to its owner as fine-grained
@@ -108,15 +108,19 @@ struct Gpu {
     llc: Llc,
     gemm: GemmEngine,
     tracker: Tracker,
+    /// The device's routes; maps an arriving chunk id to its position.
+    config: OutputConfig,
     /// Per-position chunk state; each chunk's `wg_bounds` are its
     /// *global* WG range (its memory regions).
     chunks: Vec<ChunkState>,
     /// Per-position WG bounds in the device's execution order.
     local_bounds: Vec<(u64, u64)>,
     feed: Feed,
-    /// Pending DMA source reads: (position, serviced-read target).
-    dma_reading: Option<(usize, Bytes)>,
-    dma_queue: VecDeque<usize>,
+    /// The DMA source read in flight: (position, destination,
+    /// serviced-read target).
+    dma_reading: Option<(usize, usize, Bytes)>,
+    /// Fired DMAs awaiting their source read: (position, destination).
+    dma_queue: VecDeque<(usize, usize)>,
     first_stage_done: bool,
     gemm_done: bool,
     finished_at: Option<Cycle>,
@@ -228,8 +232,7 @@ struct StepCtx<'a> {
 ///
 /// # Panics
 ///
-/// Panics if the substrate cannot reduce in memory, or on
-/// non-convergence (internal error).
+/// Panics on non-convergence (internal error).
 pub fn run_multi_gpu_fused_rs(
     sys: &SystemConfig,
     grid: GemmGrid,
@@ -268,10 +271,6 @@ fn build_run(
     opts: &FusedOptions,
     topo: &Topology,
 ) -> (Vec<Gpu>, Fabric) {
-    assert!(
-        opts.substrate.reduces_in_memory(),
-        "fused T3 requires an in-memory reduction substrate"
-    );
     assert!(opts.stagger, "the explicit model always staggers");
     assert_eq!(
         topo.num_gpus(),
@@ -282,10 +281,6 @@ fn build_run(
     let is_ring = topo.is_ring();
     let ring = Ring::new(n);
     let sched = Schedule::reduce_scatter(topo);
-    // All routing decisions flow from the one schedule source.
-    let configs: Vec<OutputConfig> = (0..n)
-        .map(|d| OutputConfig::from_reduce_scatter_schedule(&sched, d))
-        .collect();
     let fabric = Fabric::new(topo);
 
     let gpus: Vec<Gpu> = (0..n)
@@ -295,18 +290,16 @@ fn build_run(
             // leaves toward prev(d) (the ascending mirror-image
             // schedule); elsewhere the schedule-derived configuration
             // names both the chunk and its owner.
+            let config = if is_ring {
+                OutputConfig::ring_reduce_scatter_ascending(ring, d)
+            } else {
+                OutputConfig::from_reduce_scatter_schedule(&sched, d)
+            };
             let mut chunks = Vec::with_capacity(n);
             let mut local_bounds = Vec::with_capacity(n);
             let mut cursor = 0u64;
             for p in 0..n {
-                let (global_chunk, route, dest) = if is_ring {
-                    let route = configs[0].route(p);
-                    let dest = (p < n - 1).then(|| ring.prev(d));
-                    ((d + p) % n, route, dest)
-                } else {
-                    let route = configs[d].route(p);
-                    (configs[d].chunk_id(p), route, route.destination())
-                };
+                let global_chunk = config.chunk_id(p);
                 let incoming_passes = if is_ring {
                     usize::from(p >= 1)
                 } else {
@@ -322,8 +315,7 @@ fn build_run(
                     grid,
                     global_chunk,
                     (g0, g1),
-                    route,
-                    dest,
+                    config.route(p),
                     incoming_passes,
                 ));
             }
@@ -332,6 +324,7 @@ fn build_run(
                 llc: Llc::new(&sys.mem),
                 gemm: GemmEngine::new(&sys.gpu, grid.clone()),
                 tracker: Tracker::new(TrackerConfig::paper(grid.wf_tile_elems())),
+                config,
                 chunks,
                 local_bounds,
                 feed: Feed::new(grid),
@@ -367,11 +360,7 @@ fn deliver_incoming(
         );
         ins.add("chunks.received", 1);
     }
-    let pos = gpu
-        .chunks
-        .iter()
-        .position(|c| c.global_chunk as u64 == arrival.tag)
-        .expect("chunk routed to wrong GPU");
+    let pos = gpu.config.position_of_chunk(arrival.tag as usize);
     gpu.feed.announce(ctx.grid, &mut gpu.chunks, pos);
     gpu.mc.enqueue(
         StreamId::Comm,
@@ -444,10 +433,9 @@ fn step_device(
                 let global = (g0 + (w0 - local0), g0 + (w1 - local0));
                 let bytes = ctx.grid.wg_range_output_bytes(global.0, global.1);
                 match c.route {
-                    ChunkRoute::RemoteUpdate { .. } => {
-                        let dest = c.dest.expect("remote chunk has a destination");
+                    ChunkRoute::RemoteUpdate { device } => {
                         let tag = c.global_chunk as u64;
-                        sink.send_update(now, d, dest, tag, bytes, reborrow(&mut ins));
+                        sink.send_update(now, d, device, tag, bytes, reborrow(&mut ins));
                     }
                     ChunkRoute::LocalOnly {
                         updates_per_element,
@@ -476,10 +464,9 @@ fn step_device(
     }
 
     // DMA engine: one source read in flight, then the fabric.
-    if let Some((pos, target)) = gpu.dma_reading {
+    if let Some((pos, dest, target)) = gpu.dma_reading {
         if gpu.mc.stats().bytes(TrafficClass::RsRead) >= target {
             let c = &gpu.chunks[pos];
-            let dest = c.dest.expect("DMA chunk has a destination");
             let tag = c.global_chunk as u64;
             sink.send_dma(now, d, dest, tag, c.bytes, reborrow(&mut ins));
             gpu.dma_transfers += 1;
@@ -487,17 +474,17 @@ fn step_device(
         }
     }
     if gpu.dma_reading.is_none() {
-        if let Some(pos) = gpu.dma_queue.pop_front() {
+        if let Some((pos, dest)) = gpu.dma_queue.pop_front() {
             let bytes = gpu.chunks[pos].bytes;
             let target = gpu.mc.stats().bytes(TrafficClass::RsRead) + bytes;
             gpu.mc
                 .enqueue(StreamId::Comm, TrafficClass::RsRead, bytes, 1.0);
-            gpu.dma_reading = Some((pos, target));
+            gpu.dma_reading = Some((pos, dest, target));
         }
     }
     // Fire DMAs for completed steady-state chunks.
     for (pos, c) in gpu.chunks.iter_mut().enumerate() {
-        if c.fire_dma() {
+        if let Some(dest) = c.fire_dma() {
             if let Some(ins) = reborrow(&mut ins) {
                 ins.record(
                     now,
@@ -508,7 +495,7 @@ fn step_device(
                 );
                 ins.add("dma.triggers_fired", 1);
             }
-            gpu.dma_queue.push_back(pos);
+            gpu.dma_queue.push_back((pos, dest));
         }
     }
 
@@ -542,14 +529,15 @@ fn device_next_event(gpu: &Gpu, now: Cycle) -> Option<Cycle> {
     events.into_iter().flatten().min()
 }
 
-/// Assembles the run result once every device has finished.
-fn finish_result(gpus: &[Gpu], fabric: &Fabric) -> MultiGpuResult {
-    let per_gpu_cycles: Vec<Cycle> = gpus
-        .iter()
-        .map(|g| g.finished_at.expect("all finished"))
-        .collect();
-    let max = *per_gpu_cycles.iter().max().expect("non-empty");
-    let min = *per_gpu_cycles.iter().min().expect("non-empty");
+/// Every device's finish cycle, once all of them have finished.
+fn finish_cycles(gpus: &[Gpu]) -> Option<Vec<Cycle>> {
+    gpus.iter().map(|g| g.finished_at).collect()
+}
+
+/// Assembles the run result from the devices' finish cycles.
+fn finish_result(per_gpu_cycles: Vec<Cycle>, gpus: &[Gpu], fabric: &Fabric) -> MultiGpuResult {
+    let max = per_gpu_cycles.iter().copied().fold(0, Cycle::max);
+    let min = per_gpu_cycles.iter().copied().fold(max, Cycle::min);
     MultiGpuResult {
         cycles: max,
         skew: max - min,
@@ -572,9 +560,8 @@ fn finish_result(gpus: &[Gpu], fabric: &Fabric) -> MultiGpuResult {
 ///
 /// # Panics
 ///
-/// Panics if the topology's GPU count differs from `sys.num_gpus`, if
-/// the substrate cannot reduce in memory, or on non-convergence
-/// (internal error).
+/// Panics if the topology's GPU count differs from `sys.num_gpus`, or
+/// on non-convergence (internal error).
 pub fn run_multi_gpu_fused_rs_on(
     sys: &SystemConfig,
     grid: GemmGrid,
@@ -589,7 +576,7 @@ pub fn run_multi_gpu_fused_rs_on(
     };
 
     let mut clock = Clock::new(opts.mode);
-    loop {
+    let per_gpu_cycles = loop {
         let now = clock.now();
         for (d, gpu) in gpus.iter_mut().enumerate() {
             let mut dev_ins = if d == 0 { reborrow(&mut ins) } else { None };
@@ -606,9 +593,10 @@ pub fn run_multi_gpu_fused_rs_on(
             );
         }
 
-        let all_done = gpus.iter().all(|g| g.finished_at.is_some()) && fabric.busy_until() <= now;
-        if all_done {
-            break;
+        if let Some(finished) = finish_cycles(&gpus) {
+            if fabric.busy_until() <= now {
+                break finished;
+            }
         }
         // With every memory controller drained the only future events
         // are GEMM phase boundaries and fabric arrivals.
@@ -623,9 +611,9 @@ pub fn run_multi_gpu_fused_rs_on(
                 gpu.mc.skip_idle(gap.start, gap.end, skip_ins);
             }
         }
-    }
+    };
 
-    let result = finish_result(&gpus, &fabric);
+    let result = finish_result(per_gpu_cycles, &gpus, &fabric);
     if let Some(ins) = reborrow(&mut ins) {
         let gpu0 = &gpus[0];
         ins.record(
@@ -725,7 +713,7 @@ pub fn run_multi_gpu_fused_rs_sharded(
     let per = n.div_ceil(threads);
 
     let mut t0: Cycle = 0;
-    loop {
+    let per_gpu_cycles = loop {
         let t_end = t0 + window;
         // Pre-pop every arrival landing inside this window; nothing
         // sent during the window can land before `t_end`.
@@ -784,12 +772,14 @@ pub fn run_multi_gpu_fused_rs_sharded(
         // The device clocks guard convergence: each window runs every
         // device's clock up to `t_end`.
         t0 = t_end;
-        if gpus.iter().all(|g| g.finished_at.is_some()) && fabric.is_idle(t0 - 1) {
-            break;
+        if let Some(finished) = finish_cycles(&gpus) {
+            if fabric.is_idle(t0 - 1) {
+                break finished;
+            }
         }
-    }
+    };
 
-    finish_result(&gpus, &fabric)
+    finish_result(per_gpu_cycles, &gpus, &fabric)
 }
 
 #[cfg(test)]
@@ -845,6 +835,28 @@ mod tests {
         let r4 = run_multi_gpu_fused_rs(&s4, g4, &FusedOptions::default());
         assert_eq!(r4.cycles, 120_365);
         assert_eq!(r4.dma_transfers, 8);
+    }
+
+    #[test]
+    fn ring_chunks_send_to_the_previous_device() {
+        // The ascending mirror-image ring: device d computes global
+        // chunk (d + p) mod N at position p and sends every non-owned
+        // chunk to prev(d); the owned chunk goes nowhere.
+        for n in [2, 4, 8] {
+            let mut s = sys();
+            s.num_gpus = n;
+            let grid = small_grid(&s);
+            let topo = Topology::ring(n, &s.link);
+            let (gpus, _) = build_run(&s, &grid, &FusedOptions::default(), &topo);
+            let ring = Ring::new(n);
+            for (d, gpu) in gpus.iter().enumerate() {
+                for (p, c) in gpu.chunks.iter().enumerate() {
+                    assert_eq!(c.global_chunk, (d + p) % n, "n={n} d={d} p={p}");
+                    let expected = (p < n - 1).then(|| ring.prev(d));
+                    assert_eq!(c.route.destination(), expected, "n={n} d={d} p={p}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,8 +17,9 @@ pub struct Diagnostic {
     /// Stable rule code (`T3L001`...).
     pub code: &'static str,
     /// A line-number-independent key for the finding — the offending
-    /// identifier, `fn.sink` pair, unit pair, or `event.key` — used by
-    /// the baseline file so entries survive unrelated edits.
+    /// identifier, `fn.sink` pair, unit pair, or `event.key` — keyed
+    /// into the JSON output and the SARIF fingerprints so consumers can
+    /// track a finding across unrelated edits.
     pub anchor: String,
     /// Human-readable explanation of the finding.
     pub message: String,

@@ -39,15 +39,12 @@
 //! A directive covers its own line and the next; `allow-file` covers
 //! the file. Directives that name unknown rules, omit the reason, or
 //! suppress nothing are themselves diagnostics, so the allowlist can
-//! only shrink to what is truly needed. Pre-existing audited findings
-//! can instead live in the checked-in [`baseline`] file
-//! (`lint-baseline.txt`): still printed, no longer failing, policed
-//! for staleness. Run `t3-lint --list` for the rule table, `t3-lint
-//! --explain T3L006` for any rule's rationale and sanctioned
-//! suppression, `--json` / `--sarif <path>` for machine-readable
-//! output; `ci.sh` gates on a clean pass.
+//! only shrink to what is truly needed. They are the only suppression
+//! mechanism: every other finding fails the run. Run `t3-lint --list`
+//! for the rule table, `t3-lint --explain T3L006` for any rule's
+//! rationale and sanctioned suppression, `--json` / `--sarif <path>`
+//! for machine-readable output; `ci.sh` gates on a clean pass.
 
-pub mod baseline;
 pub mod callgraph;
 pub mod diag;
 pub mod engine;

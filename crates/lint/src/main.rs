@@ -2,30 +2,26 @@
 //! determinism/fidelity violation.
 //!
 //! ```text
-//! t3-lint [--root <dir>] [--json] [--list] [--explain <rule>]
-//!         [--sarif <path>] [--baseline <path>]
+//! t3-lint [--root <dir>] [--json] [--list] [--explain <rule>] [--sarif <path>]
 //! ```
 //!
-//! The baseline defaults to `<root>/lint-baseline.txt` when that file
-//! exists. Baselined findings are printed (and exported to SARIF as
-//! `note`-level results) but do not fail the run; anything else does.
+//! Every finding fails the run; the only suppressions are inline
+//! `// t3-lint: allow(<rule>) -- <reason>` directives.
 //!
-//! Exit codes: 0 clean (or baselined-only), 1 diagnostics found, 2
-//! usage or I/O error.
+//! Exit codes: 0 clean, 1 diagnostics found, 2 usage or I/O error.
 
 use std::env;
 use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use t3_lint::{baseline, lint_workspace, to_json, to_sarif, RULES};
+use t3_lint::{lint_workspace, to_json, to_sarif, RULES};
 
 fn main() -> ExitCode {
     let mut json = false;
     let mut list = false;
     let mut explain: Option<String> = None;
     let mut sarif_path: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
     let mut root: Option<PathBuf> = None;
     let mut args = env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -39,10 +35,6 @@ fn main() -> ExitCode {
             "--sarif" => match args.next() {
                 Some(p) => sarif_path = Some(PathBuf::from(p)),
                 None => return usage("--sarif requires an output path"),
-            },
-            "--baseline" => match args.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => return usage("--baseline requires a file path"),
             },
             "--root" => match args.next() {
                 Some(dir) => root = Some(PathBuf::from(dir)),
@@ -86,41 +78,8 @@ fn main() -> ExitCode {
         }
     };
 
-    // Apply the baseline: explicit path, or <root>/lint-baseline.txt
-    // when present. A missing explicit path is an error; a missing
-    // default is simply "no baseline".
-    let default_baseline = root.join("lint-baseline.txt");
-    let (entries, bad, bl_name) = match &baseline_path {
-        Some(p) => match fs::read_to_string(p) {
-            Ok(text) => {
-                let mut bad = Vec::new();
-                (
-                    baseline::parse(&text, &mut bad),
-                    bad,
-                    p.to_string_lossy().replace('\\', "/"),
-                )
-            }
-            Err(e) => {
-                eprintln!("t3-lint: cannot read baseline {}: {e}", p.display());
-                return ExitCode::from(2);
-            }
-        },
-        None => match fs::read_to_string(&default_baseline) {
-            Ok(text) => {
-                let mut bad = Vec::new();
-                (
-                    baseline::parse(&text, &mut bad),
-                    bad,
-                    "lint-baseline.txt".to_string(),
-                )
-            }
-            Err(_) => (Vec::new(), Vec::new(), "lint-baseline.txt".to_string()),
-        },
-    };
-    let applied = baseline::apply(diags, &entries, &bad, &bl_name);
-
     if let Some(p) = &sarif_path {
-        let doc = to_sarif(&applied.failing, &applied.baselined);
+        let doc = to_sarif(&diags);
         if let Err(e) = fs::write(p, doc) {
             eprintln!("t3-lint: cannot write SARIF to {}: {e}", p.display());
             return ExitCode::from(2);
@@ -128,28 +87,18 @@ fn main() -> ExitCode {
     }
 
     if json {
-        print!("{}", to_json(&applied.failing));
+        print!("{}", to_json(&diags));
     } else {
-        for d in &applied.baselined {
-            println!("{d} [baselined]");
-        }
-        for d in &applied.failing {
+        for d in &diags {
             println!("{d}");
         }
-        if applied.failing.is_empty() {
-            if applied.baselined.is_empty() {
-                eprintln!("t3-lint: workspace clean");
-            } else {
-                eprintln!(
-                    "t3-lint: workspace clean ({} baselined finding(s) remain)",
-                    applied.baselined.len()
-                );
-            }
+        if diags.is_empty() {
+            eprintln!("t3-lint: workspace clean");
         } else {
-            eprintln!("t3-lint: {} diagnostic(s)", applied.failing.len());
+            eprintln!("t3-lint: {} diagnostic(s)", diags.len());
         }
     }
-    if applied.failing.is_empty() {
+    if diags.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -159,7 +108,7 @@ fn main() -> ExitCode {
 fn usage(error: &str) -> ExitCode {
     eprintln!("error: {error}");
     eprintln!(
-        "usage: t3-lint [--root <dir>] [--json] [--list] [--explain <rule>] [--sarif <path>] [--baseline <path>]"
+        "usage: t3-lint [--root <dir>] [--json] [--list] [--explain <rule>] [--sarif <path>]"
     );
     ExitCode::from(2)
 }

@@ -159,8 +159,7 @@ pub const RULES: &[RuleInfo] = &[
         example: "    fn step(&mut self) { self.drain(); }\n\
                   \x20   fn drain(&mut self) { self.queue.pop().unwrap(); } // reachable abort",
         suppression: "// t3-lint: allow(panic-reachable) -- <why the invariant provably holds>\n\
-                      (placed at the sink line; or a lint-baseline.txt entry for pre-existing \
-                      audited sites)",
+                      (placed at the sink line)",
     },
     RuleInfo {
         name: "wall-clock-reachable",

@@ -4,36 +4,26 @@
 //! dependencies) and byte-deterministic: rules in registry order,
 //! results in the caller's (already sorted) order, no timestamps.
 //!
-//! Failing findings are `"level": "error"`; baselined ones are
-//! emitted too, as `"level": "note"` with a `suppressions` entry, so
-//! the grandfathered debt stays visible in every viewer without
-//! failing the gate. Each result carries a `partialFingerprints`
-//! entry built from the diagnostic's line-independent anchor, so
-//! SARIF consumers can track findings across unrelated edits the same
-//! way the baseline file does.
+//! Every finding fails the gate, so every result is
+//! `"level": "error"`. Each carries a `partialFingerprints` entry
+//! built from the diagnostic's line-independent anchor, so SARIF
+//! consumers can track findings across unrelated edits.
 
 use crate::diag::{escape_json, Diagnostic};
 use crate::rules::RULES;
 
-fn result_json(d: &Diagnostic, baselined: bool, out: &mut String) {
+fn result_json(d: &Diagnostic, out: &mut String) {
     let rule_index = RULES
         .iter()
         .position(|r| r.code == d.code)
         .expect("diagnostic code registered");
-    let level = if baselined { "note" } else { "error" };
     out.push_str(&format!(
-        "      {{\n        \"ruleId\": \"{}\",\n        \"ruleIndex\": {},\n        \"level\": \"{}\",\n        \"message\": {{\"text\": \"{}\"}},\n        \"partialFingerprints\": {{\"t3LintAnchor/v1\": \"{}\"}},\n",
+        "      {{\n        \"ruleId\": \"{}\",\n        \"ruleIndex\": {},\n        \"level\": \"error\",\n        \"message\": {{\"text\": \"{}\"}},\n        \"partialFingerprints\": {{\"t3LintAnchor/v1\": \"{}\"}},\n",
         d.code,
         rule_index,
-        level,
         escape_json(&d.message),
         escape_json(&format!("{}:{}", d.path, d.anchor)),
     ));
-    if baselined {
-        out.push_str(
-            "        \"suppressions\": [{\"kind\": \"external\", \"justification\": \"lint-baseline.txt entry\"}],\n",
-        );
-    }
     out.push_str(&format!(
         "        \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": \"{}\"}}, \"region\": {{\"startLine\": {}}}}}}}]\n      }}",
         escape_json(&d.path),
@@ -41,9 +31,9 @@ fn result_json(d: &Diagnostic, baselined: bool, out: &mut String) {
     ));
 }
 
-/// Renders one SARIF 2.1.0 document containing both failing and
-/// baselined findings. Output is byte-identical for identical inputs.
-pub fn to_sarif(failing: &[Diagnostic], baselined: &[Diagnostic]) -> String {
+/// Renders one SARIF 2.1.0 document of `diags`. Output is
+/// byte-identical for identical inputs.
+pub fn to_sarif(diags: &[Diagnostic]) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n  \"version\": \"2.1.0\",\n  \"runs\": [{\n    \"tool\": {\"driver\": {\n      \"name\": \"t3-lint\",\n      \"informationUri\": \"https://example.invalid/t3-lint\",\n      \"rules\": [\n");
     for (i, r) in RULES.iter().enumerate() {
@@ -62,20 +52,11 @@ pub fn to_sarif(failing: &[Diagnostic], baselined: &[Diagnostic]) -> String {
     out.push_str(
         "\n      ]\n    }},\n    \"columnKind\": \"utf16CodeUnits\",\n    \"results\": [\n",
     );
-    let mut first = true;
-    for d in failing {
-        if !first {
+    for (i, d) in diags.iter().enumerate() {
+        if i > 0 {
             out.push_str(",\n");
         }
-        first = false;
-        result_json(d, false, &mut out);
-    }
-    for d in baselined {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        result_json(d, true, &mut out);
+        result_json(d, &mut out);
     }
     out.push_str("\n    ]\n  }]\n}\n");
     out
@@ -98,15 +79,13 @@ mod tests {
 
     #[test]
     fn sarif_shape_and_determinism() {
-        let failing = vec![d("T3L006", "f.unwrap")];
-        let baselined = vec![d("T3L006", "g.unwrap")];
-        let a = to_sarif(&failing, &baselined);
-        let b = to_sarif(&failing, &baselined);
+        let diags = vec![d("T3L006", "f.unwrap"), d("T3L006", "g.unwrap")];
+        let a = to_sarif(&diags);
+        let b = to_sarif(&diags);
         assert_eq!(a, b, "export must be byte-deterministic");
         assert!(a.contains("\"version\": \"2.1.0\""));
         assert!(a.contains("\"ruleId\": \"T3L006\""));
-        assert!(a.contains("\"level\": \"error\""));
-        assert!(a.contains("\"level\": \"note\""));
+        assert_eq!(a.matches("\"level\": \"error\"").count(), 2);
         assert!(a.contains("t3LintAnchor/v1"));
         assert!(a.contains("reachable \\\"abort\\\""));
         // one rules entry per registered rule
@@ -115,7 +94,7 @@ mod tests {
 
     #[test]
     fn empty_run_is_valid() {
-        let a = to_sarif(&[], &[]);
+        let a = to_sarif(&[]);
         assert!(a.contains("\"results\": [\n\n    ]"));
     }
 }

@@ -417,28 +417,16 @@ fn workspace_root() -> std::path::PathBuf {
         .to_path_buf()
 }
 
-fn apply_baseline(root: &Path, diags: Vec<Diagnostic>) -> (Vec<Diagnostic>, Vec<Diagnostic>) {
-    let text = std::fs::read_to_string(root.join("lint-baseline.txt"))
-        .expect("checked-in lint-baseline.txt");
-    let mut bad = Vec::new();
-    let entries = t3_lint::baseline::parse(&text, &mut bad);
-    let applied = t3_lint::baseline::apply(diags, &entries, &bad, "lint-baseline.txt");
-    (applied.failing, applied.baselined)
-}
-
-/// The CI gate's twin: the actual workspace must stay clean modulo
-/// the checked-in baseline, with every suppression justified and
-/// every baseline entry still matching a live finding. Fails here =
+/// The CI gate's twin: the actual workspace must have zero findings,
+/// with every inline suppression justified and live. Fails here =
 /// fails `./ci.sh`.
 #[test]
 fn workspace_is_clean() {
-    let root = workspace_root();
-    let diags = t3_lint::lint_workspace(&root).expect("walk workspace");
-    let (failing, _baselined) = apply_baseline(&root, diags);
+    let diags = t3_lint::lint_workspace(&workspace_root()).expect("walk workspace");
     assert!(
-        failing.is_empty(),
+        diags.is_empty(),
         "t3-lint violations in the workspace:\n{}",
-        failing
+        diags
             .iter()
             .map(|d| d.to_string())
             .collect::<Vec<_>>()
@@ -455,10 +443,12 @@ fn json_and_sarif_output_byte_identical_across_runs() {
     let run_a = t3_lint::lint_workspace(&root).expect("walk workspace");
     let run_b = t3_lint::lint_workspace(&root).expect("walk workspace");
     assert_eq!(to_json(&run_a), to_json(&run_b));
-    let (fail_a, base_a) = apply_baseline(&root, run_a);
-    let (fail_b, base_b) = apply_baseline(&root, run_b);
-    let sarif_a = t3_lint::to_sarif(&fail_a, &base_a);
-    let sarif_b = t3_lint::to_sarif(&fail_b, &base_b);
+    let sarif_a = t3_lint::to_sarif(&run_a);
+    let sarif_b = t3_lint::to_sarif(&run_b);
     assert_eq!(sarif_a, sarif_b, "SARIF export must be byte-identical");
     assert!(sarif_a.contains("\"version\": \"2.1.0\""));
+    assert!(
+        !sarif_a.contains("\"level\": \"note\""),
+        "no finding is downgraded to a note"
+    );
 }

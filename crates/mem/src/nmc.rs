@@ -12,13 +12,15 @@
 //!   The memory-controller queue serialises updates, which makes them
 //!   atomic (Section 4.3); the functional collectives and the fused
 //!   T3 engine both write through this type.
-//! * [`ReductionSubstrate`] — the timing-cost knob: where reductions
-//!   execute (near-memory ALUs, plain system-wide atomics per Section
-//!   7.4, or on CUs in the baseline).
+//! * [`ReductionSubstrate`] — the timing-cost knob: which in-memory
+//!   mechanism executes op-and-store updates (near-memory ALUs, or
+//!   plain system-wide atomics per Section 7.4). Baseline collectives
+//!   reduce on CUs and never ask for an update cost.
 
 use t3_sim::config::MemConfig;
 
-/// Where communication reductions execute, and at what DRAM cost.
+/// Which in-memory mechanism executes op-and-store updates, and at
+/// what DRAM cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReductionSubstrate {
     /// Near-bank ALUs: op-and-store updates at `nmc_cost_multiplier`
@@ -28,33 +30,16 @@ pub enum ReductionSubstrate {
     /// System-wide atomics on uncached data (Section 7.4): correct but
     /// costlier per update, no extra reads.
     SystemAtomics,
-    /// Baseline: reductions run on CUs, so "updates" decompose into a
-    /// read plus a plain write issued by the collective kernel.
-    ComputeUnits,
 }
 
 impl ReductionSubstrate {
     /// DRAM service-cost multiplier for one op-and-store update under
-    /// this substrate. [`ReductionSubstrate::ComputeUnits`] performs no
-    /// in-memory updates, so asking for its multiplier is a logic error.
-    ///
-    /// # Panics
-    ///
-    /// Panics for [`ReductionSubstrate::ComputeUnits`].
+    /// this substrate.
     pub fn update_cost_multiplier(self, cfg: &MemConfig) -> f64 {
         match self {
             ReductionSubstrate::NearMemory => cfg.nmc_cost_multiplier,
             ReductionSubstrate::SystemAtomics => cfg.atomics_cost_multiplier,
-            ReductionSubstrate::ComputeUnits => {
-                panic!("CU substrate performs reductions in kernels, not in memory")
-            }
         }
-    }
-
-    /// Whether this substrate reduces in memory (i.e. supports
-    /// op-and-store updates at all).
-    pub fn reduces_in_memory(self) -> bool {
-        !matches!(self, ReductionSubstrate::ComputeUnits)
     }
 }
 
@@ -233,15 +218,6 @@ mod tests {
             ReductionSubstrate::SystemAtomics.update_cost_multiplier(&cfg),
             cfg.atomics_cost_multiplier
         );
-        assert!(ReductionSubstrate::NearMemory.reduces_in_memory());
-        assert!(!ReductionSubstrate::ComputeUnits.reduces_in_memory());
-    }
-
-    #[test]
-    #[should_panic(expected = "CU substrate")]
-    fn cu_substrate_has_no_update_cost() {
-        let cfg = SystemConfig::paper_default().mem;
-        let _ = ReductionSubstrate::ComputeUnits.update_cost_multiplier(&cfg);
     }
 
     #[test]

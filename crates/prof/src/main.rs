@@ -25,9 +25,8 @@ USAGE:
   t3-prof check <report.json> <baseline.json> [--tolerance <permille>] [--json]
       Diff a fresh `figures --report` run against a checked-in
       BENCH_*.json baseline (simulated cycles only). Exits non-zero
-      on a regression or a missing job. Set T3_PROF_NO_GATE=1 to
-      downgrade a failing gate to a warning (refresh the baseline in
-      the same change)."
+      on a regression or a missing job; an intentional change
+      regenerates the baseline in the same change."
     );
     ExitCode::from(2)
 }
@@ -120,12 +119,6 @@ fn main() -> ExitCode {
                 print!("{}", verdict.render_text());
             }
             if verdict.passed() {
-                ExitCode::SUCCESS
-            } else if std::env::var_os("T3_PROF_NO_GATE").is_some_and(|v| v == "1") {
-                eprintln!(
-                    "t3-prof: WARNING: perf gate failed but T3_PROF_NO_GATE=1 is set; \
-                     refresh the baseline in this change"
-                );
                 ExitCode::SUCCESS
             } else {
                 ExitCode::FAILURE

@@ -120,11 +120,12 @@ pub fn run_engine(
             let mut batch: Vec<Request> = Vec::new();
             let mut batch_tokens = 0u64;
             while batch.len() < free_slots {
-                let Some(head) = waiting.front() else { break };
-                if !batch.is_empty() && batch_tokens + head.prompt_tokens > cfg.max_prefill_tokens {
+                let fits = |head: &mut Request| {
+                    batch.is_empty() || batch_tokens + head.prompt_tokens <= cfg.max_prefill_tokens
+                };
+                let Some(r) = waiting.pop_front_if(fits) else {
                     break;
-                }
-                let r = waiting.pop_front().expect("peeked head exists");
+                };
                 batch_tokens += r.prompt_tokens;
                 batch.push(r);
             }
@@ -314,6 +315,52 @@ mod tests {
         assert_eq!(run.prefill_iterations, 6);
         let decode_tokens: u64 = reqs.iter().map(|r| r.output_tokens - 1).sum();
         assert_eq!(run.decode_iterations, decode_tokens);
+    }
+
+    #[test]
+    fn prefill_admission_is_fifo_under_the_token_budget() {
+        let mut reqs = traffic(10);
+        for r in &mut reqs {
+            r.arrival /= 16; // arrivals bunch up and queue
+        }
+        reqs[0].prompt_tokens = 5000; // an oversized head request
+        let mut cfg = EngineConfig::with_mode(EngineMode::Baseline);
+        cfg.max_batch = 4;
+        cfg.max_prefill_tokens = 150;
+        let run = run_engine(&mut cost(), &cfg, &reqs, None);
+        // Prefill batches, in admission order, as request ids.
+        let mut admitted: Vec<&RequestOutcome> = run.outcomes.iter().collect();
+        admitted.sort_by_key(|o| (o.admitted, o.request.id));
+        let mut batches: Vec<Vec<u64>> = Vec::new();
+        for (i, o) in admitted.iter().enumerate() {
+            if i == 0 || admitted[i - 1].admitted != o.admitted {
+                batches.push(Vec::new());
+            }
+            batches.last_mut().expect("pushed").push(o.request.id);
+        }
+        let mut fifo = reqs.clone();
+        fifo.sort_by_key(|r| (r.arrival, r.tenant, r.id));
+        let order: Vec<u64> = batches.iter().flatten().copied().collect();
+        assert_eq!(order, fifo.iter().map(|r| r.id).collect::<Vec<_>>());
+        for b in &batches {
+            let tokens: u64 = b.iter().map(|&id| reqs[id as usize].prompt_tokens).sum();
+            assert!(b.len() == 1 || tokens <= cfg.max_prefill_tokens, "{b:?}");
+            assert!(b.len() as u64 <= cfg.max_batch);
+        }
+        // The oversized head prefills alone; 46 + 98 + 26 tokens would
+        // overrun the budget, so request 3 waits for the next batch.
+        assert_eq!(
+            batches,
+            vec![
+                vec![0],
+                vec![1, 2],
+                vec![3],
+                vec![4, 5, 6],
+                vec![7, 8],
+                vec![9]
+            ]
+        );
+        assert_eq!(run.prefill_iterations, batches.len() as u64);
     }
 
     #[test]

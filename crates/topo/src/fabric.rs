@@ -11,6 +11,7 @@
 //! to [`Schedule::predicted_link_bytes`].
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 use t3_net::link::Link;
@@ -119,11 +120,11 @@ impl Fabric {
     /// `now`, in `(arrival, send order)` order.
     pub fn deliveries_until(&mut self, gpu: usize, now: Cycle) -> Vec<Arrival> {
         let mut out = Vec::new();
-        while let Some(Reverse(head)) = self.inboxes[gpu].peek() {
-            if head.arrival > now {
+        while let Some(head) = self.inboxes[gpu].peek_mut() {
+            if head.0.arrival > now {
                 break;
             }
-            let Reverse(p) = self.inboxes[gpu].pop().expect("peeked entry exists");
+            let Reverse(p) = PeekMut::pop(head);
             out.push(Arrival {
                 tag: p.tag,
                 src: p.src,

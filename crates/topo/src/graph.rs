@@ -424,8 +424,7 @@ fn shortest_paths(topo: &Topology, src: usize) -> Vec<Vec<LinkId>> {
             assert!(dist[dst] != u64::MAX, "fabric is disconnected");
             let mut path = Vec::new();
             let mut at = dst;
-            while at != src {
-                let id = prev[at].expect("reached node has a predecessor");
+            while let Some(id) = prev[at] {
                 path.push(id);
                 at = topo.links[id.0].src;
             }

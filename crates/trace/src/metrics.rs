@@ -117,30 +117,33 @@ impl MetricsRegistry {
 
     /// Adds `delta` to the named counter (creating it at 0).
     pub fn add(&mut self, name: &str, delta: u64) {
-        *self.entry(name) += delta;
+        self.update(name, |c| *c += delta);
     }
 
     /// Sets the named counter to `value`.
     pub fn set(&mut self, name: &str, value: u64) {
-        *self.entry(name) = value;
+        self.update(name, |c| *c = value);
     }
 
-    fn entry(&mut self, name: &str) -> &mut u64 {
-        if !self.counters.contains_key(name) {
-            self.counters.insert(name.to_string(), 0);
+    /// Applies `f` to the named counter, creating it at 0; only a new
+    /// key allocates its name.
+    fn update(&mut self, name: &str, f: impl FnOnce(&mut u64)) {
+        match self.counters.get_mut(name) {
+            Some(c) => f(c),
+            None => f(self.counters.entry(name.to_string()).or_insert(0)),
         }
-        self.counters.get_mut(name).expect("just inserted")
     }
 
     /// Records one observation into the named histogram.
     pub fn observe(&mut self, name: &str, value: u64) {
-        if !self.histograms.contains_key(name) {
-            self.histograms.insert(name.to_string(), Histogram::new());
+        match self.histograms.get_mut(name) {
+            Some(h) => h.observe(value),
+            None => self
+                .histograms
+                .entry(name.to_string())
+                .or_default()
+                .observe(value),
         }
-        self.histograms
-            .get_mut(name)
-            .expect("just inserted")
-            .observe(value);
     }
 
     /// Sets one `traffic.<class>.bytes` counter per traffic class,
@@ -267,6 +270,25 @@ mod tests {
         assert_eq!(m.counter("dma.triggers"), 7);
         assert_eq!(m.counter("run.cycles"), 100);
         assert_eq!(m.counter("absent"), 0);
+    }
+
+    #[test]
+    fn new_and_existing_keys_render_pinned_json() {
+        let mut m = MetricsRegistry::new();
+        m.add("added", 3);
+        m.add("added", 4);
+        m.set("set", 9);
+        m.set("set", 5);
+        m.add("set_then_added", 1);
+        m.set("set_then_added", 10);
+        m.add("set_then_added", 2);
+        m.observe("depth", 3);
+        m.observe("depth", 8);
+        m.observe("once", 0);
+        assert_eq!(
+            m.to_json(),
+            "{\n  \"counters\": {\n    \"added\": 7,\n    \"set\": 5,\n    \"set_then_added\": 12\n  },\n  \"histograms\": {\n    \"depth\": {\"count\": 2, \"sum\": 11, \"min\": 3, \"max\": 8, \"mean\": 5.500, \"buckets\": [[2,1],[8,1]]},\n    \"once\": {\"count\": 1, \"sum\": 0, \"min\": 0, \"max\": 0, \"mean\": 0.000, \"buckets\": [[0,1]]}\n  }\n}\n"
+        );
     }
 
     #[test]
