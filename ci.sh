@@ -26,10 +26,12 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
-echo "==> benchmark tests (unit tests + manifest check)"
+echo "==> benchmark fmt, clippy and tests (unit tests + manifest check)"
 # benchmark/ is its own workspace that imports the crates' public
-# APIs; building and testing it here keeps an API change from
-# silently breaking the benchmark.
+# APIs; formatting, linting and testing it here keeps an API change
+# from silently breaking the benchmark or leaving it with warnings.
+cargo fmt --check --manifest-path benchmark/Cargo.toml
+cargo clippy --offline --locked --all-targets --manifest-path benchmark/Cargo.toml -- -D warnings
 cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 
 echo "==> figures smoke run (parallel runtime, fresh cache)"

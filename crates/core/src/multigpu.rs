@@ -35,11 +35,16 @@
 //! per [`t3_sim::SimMode`], and produce byte-identical results:
 //!
 //! * **Sequential** ([`run_multi_gpu_fused_rs_on`]): one clock for all
-//!   devices. When every memory controller is idle, it leaps to the
-//!   minimum of each component's `next_event` — GEMM stage boundaries,
-//!   fabric inbox arrivals — and the loop replays the skipped idle
-//!   cycles' side effects (tracer samples, arbiter wait counters,
-//!   credit regeneration) on every controller.
+//!   devices. Each cycle steps, in device order, only the devices that
+//!   are due: a busy memory controller, a fabric arrival due, or the
+//!   device's own `next_event` (GEMM stage boundaries, DMA polling)
+//!   come ([`Clock::due`]; stepped mode steps every device every
+//!   cycle). A skipped device replays its idle gap's side effects
+//!   (tracer samples, arbiter wait counters, credit regeneration) in
+//!   one `MemoryController::skip_idle` call just before it next
+//!   steps, and through the final cycle when the run ends. When every
+//!   memory controller is idle the clock leaps to the minimum of the
+//!   devices' stored next events and the fabric's next arrival.
 //! * **Sharded** ([`run_multi_gpu_fused_rs_sharded`]): devices are
 //!   partitioned across worker threads and simulate windows of
 //!   `1 + min link latency` cycles independently (no message sent
@@ -531,7 +536,8 @@ fn device_next_event(gpu: &Gpu, now: Cycle) -> Option<Cycle> {
 
 /// Every device's finish cycle, once all of them have finished.
 fn finish_cycles(gpus: &[Gpu]) -> Option<Vec<Cycle>> {
-    gpus.iter().map(|g| g.finished_at).collect()
+    let all = gpus.iter().all(|g| g.finished_at.is_some());
+    all.then(|| gpus.iter().filter_map(|g| g.finished_at).collect())
 }
 
 /// Assembles the run result from the devices' finish cycles.
@@ -576,10 +582,22 @@ pub fn run_multi_gpu_fused_rs_on(
     };
 
     let mut clock = Clock::new(opts.mode);
+    // Per device: its next event as predicted after its last step, and
+    // the first cycle it has neither stepped nor replayed. Every device
+    // steps at cycle 0, where its GEMM engine re-anchors its launch.
+    let mut next: Vec<Option<Cycle>> = vec![Some(0); gpus.len()];
+    let mut synced: Vec<Cycle> = vec![0; gpus.len()];
     let per_gpu_cycles = loop {
         let now = clock.now();
+        // Devices step in index order, so fabric sends keep their
+        // (cycle, device) order. An idle device with nothing due is
+        // skipped; it replays its idle gap just before it next steps.
         for (d, gpu) in gpus.iter_mut().enumerate() {
+            if !(clock.due(next[d]) || !gpu.mc.is_idle() || fabric.arrival_due(d, now)) {
+                continue;
+            }
             let mut dev_ins = if d == 0 { reborrow(&mut ins) } else { None };
+            gpu.mc.skip_idle(synced[d], now, reborrow(&mut dev_ins));
             for arrival in fabric.deliveries_until(d, now) {
                 deliver_incoming(gpu, now, arrival, &ctx, reborrow(&mut dev_ins));
             }
@@ -591,26 +609,30 @@ pub fn run_multi_gpu_fused_rs_on(
                 &mut SendSink::Fabric(&mut fabric),
                 dev_ins,
             );
+            next[d] = device_next_event(gpu, now);
+            synced[d] = now + 1;
         }
 
         if let Some(finished) = finish_cycles(&gpus) {
             if fabric.busy_until() <= now {
+                // Replay every skipped device through the final cycle,
+                // as the stepped run leaves it (device 0's queue-depth
+                // samples included).
+                for (d, gpu) in gpus.iter_mut().enumerate() {
+                    let dev_ins = if d == 0 { reborrow(&mut ins) } else { None };
+                    gpu.mc.skip_idle(synced[d], now + 1, dev_ins);
+                }
                 break finished;
             }
         }
         // With every memory controller drained the only future events
-        // are GEMM phase boundaries and fabric arrivals.
+        // are GEMM phase boundaries and fabric arrivals. Skipped
+        // devices replay the leaped gap themselves.
         let quiescent = gpus.iter().all(|g| g.mc.is_idle());
-        let gap = clock.advance(quiescent, || {
-            let devices = gpus.iter().filter_map(|g| device_next_event(g, now));
+        clock.advance(quiescent, || {
+            let devices = next.iter().flatten().copied();
             devices.chain(fabric.next_event(now)).min()
         });
-        if let Some(gap) = gap {
-            for (d, gpu) in gpus.iter_mut().enumerate() {
-                let skip_ins = if d == 0 { reborrow(&mut ins) } else { None };
-                gpu.mc.skip_idle(gap.start, gap.end, skip_ins);
-            }
-        }
     };
 
     let result = finish_result(per_gpu_cycles, &gpus, &fabric);
@@ -945,6 +967,42 @@ mod tests {
                 mode.label()
             );
         }
+    }
+
+    #[test]
+    fn hierarchical_fast_forward_is_byte_identical_to_stepped() {
+        // Slow inter-node links leave most devices idle while a few
+        // drain, so this is where skipping idle devices does the most:
+        // the result, device 0's trace and the metrics must all match
+        // the stepped reference, and the sharded engine must agree.
+        let s = sys();
+        let grid = small_grid(&s);
+        let mut slow = s.link.clone();
+        slow.link_gb_s /= 4.0;
+        slow.latency_ns *= 4.0;
+        let topo = Topology::hierarchical(2, 4, &s.link, &slow);
+        let run = |mode: SimMode| {
+            let mut ins = Instruments::full();
+            let r =
+                run_multi_gpu_fused_rs_on(&s, grid.clone(), &opts_in(mode), &topo, Some(&mut ins));
+            let records = ins.tracer.as_ref().expect("tracer on").records();
+            let metrics = ins.metrics.as_ref().expect("metrics on").to_json();
+            (format!("{r:?}"), format!("{records:?}"), metrics)
+        };
+        let stepped = run(SimMode::Stepped);
+        let fast = run(SimMode::FastForward);
+        assert_eq!(stepped.0, fast.0, "result");
+        assert_eq!(stepped.1, fast.1, "trace records");
+        assert_eq!(stepped.2, fast.2, "metrics");
+        let seq =
+            run_multi_gpu_fused_rs_on(&s, grid.clone(), &FusedOptions::default(), &topo, None);
+        let sharded = run_multi_gpu_fused_rs_sharded(&s, grid, &FusedOptions::default(), &topo, 2);
+        assert_eq!(format!("{seq:?}"), format!("{sharded:?}"), "sharded");
+        assert_eq!(
+            format!("{seq:?}"),
+            fast.0,
+            "instrumentation changed the result"
+        );
     }
 
     #[test]

@@ -312,12 +312,14 @@ impl MemoryController {
     /// queue empty: queue-depth samples at the tracer's due cycles,
     /// policy starvation ticks, issue-credit saturation, the
     /// service-credit reset, and occupancy sampling. The fast-forward
-    /// engines call this before leaping `now`.
+    /// engines call this for every leaped or skipped gap. Replaying a
+    /// gap in pieces, split at any cycles, equals one replay; an empty
+    /// gap (`to <= from`) is a no-op even on a busy controller.
     pub fn skip_idle(&mut self, from: Cycle, to: Cycle, ins: Option<&mut Instruments>) {
-        debug_assert!(self.is_idle(), "skip_idle on a busy controller");
         if to <= from {
             return;
         }
+        debug_assert!(self.is_idle(), "skip_idle on a busy controller");
         let cycles = to - from;
         if let Some(ins) = ins {
             let mut samples = 0u64;
@@ -673,50 +675,54 @@ mod tests {
         assert_eq!(mc.next_event(now), None, "drained controller has no events");
     }
 
+    /// A controller (and its full instruments) drained idle after a
+    /// busy prefix, so credits, the tracer schedule and the arbitration
+    /// policy all hold mid-run values; returns the first idle cycle.
+    fn idle_after_busy_prefix(cfg: &MemConfig) -> (MemoryController, Instruments, Cycle) {
+        let mut mc = MemoryController::new(cfg, Box::new(McaPolicy::with_fixed_threshold(5)));
+        let mut ins = Instruments::full();
+        mc.enqueue(StreamId::Compute, TrafficClass::GemmRead, 100_000, 1.0);
+        mc.enqueue(StreamId::Comm, TrafficClass::RsUpdate, 50_000, 1.5);
+        let mut now = 0;
+        while !mc.is_idle() {
+            mc.step_traced(now, None, Some(&mut ins));
+            now += 1;
+        }
+        (mc, ins, now)
+    }
+
+    fn trace_records(ins: &Instruments) -> Vec<(u64, Cycle, String)> {
+        ins.tracer
+            .as_ref()
+            .expect("tracer on")
+            .records()
+            .iter()
+            .map(|r| (r.seq, r.cycle, format!("{:?}", r.event)))
+            .collect()
+    }
+
+    /// Drains more work after a gap: identical arbitration and cycle
+    /// counts prove the policy state also matched.
+    fn drain_more(mc: &mut MemoryController, from: Cycle) -> Cycle {
+        mc.enqueue(StreamId::Comm, TrafficClass::RsUpdate, 80_000, 1.5);
+        mc.enqueue(StreamId::Compute, TrafficClass::GemmRead, 40_000, 1.0);
+        let mut now = from;
+        while !mc.is_idle() {
+            mc.step(now, None);
+            now += 1;
+        }
+        now
+    }
+
     #[test]
     fn skip_idle_matches_stepping_idle_cycles_exactly() {
         let cfg = mem_cfg();
-        let build = || {
-            let mut mc = MemoryController::new(&cfg, Box::new(McaPolicy::with_fixed_threshold(5)));
-            let mut ins = Instruments::full();
-            // Busy prefix so credits, the tracer schedule, and the
-            // arbitration policy all hold mid-run values.
-            mc.enqueue(StreamId::Compute, TrafficClass::GemmRead, 100_000, 1.0);
-            mc.enqueue(StreamId::Comm, TrafficClass::RsUpdate, 50_000, 1.5);
-            let mut now = 0;
-            while !mc.is_idle() {
-                mc.step_traced(now, None, Some(&mut ins));
-                now += 1;
-            }
-            (mc, ins, now)
-        };
-        let records = |ins: &Instruments| {
-            ins.tracer
-                .as_ref()
-                .expect("tracer on")
-                .records()
-                .iter()
-                .map(|r| (r.seq, r.cycle, format!("{:?}", r.event)))
-                .collect::<Vec<_>>()
-        };
-        // Drain more work after the gap: identical arbitration and
-        // cycle counts prove the policy state also matched.
-        let resume = |mc: &mut MemoryController, from: Cycle| {
-            mc.enqueue(StreamId::Comm, TrafficClass::RsUpdate, 80_000, 1.5);
-            mc.enqueue(StreamId::Compute, TrafficClass::GemmRead, 40_000, 1.0);
-            let mut now = from;
-            while !mc.is_idle() {
-                mc.step(now, None);
-                now += 1;
-            }
-            now
-        };
         for gap in [1u64, 2, 3, 1023, 1024, 5000] {
-            let (mut stepped, mut ins_s, idle_at) = build();
+            let (mut stepped, mut ins_s, idle_at) = idle_after_busy_prefix(&cfg);
             for now in idle_at..idle_at + gap {
                 stepped.step_traced(now, None, Some(&mut ins_s));
             }
-            let (mut leaped, mut ins_l, idle_at_l) = build();
+            let (mut leaped, mut ins_l, idle_at_l) = idle_after_busy_prefix(&cfg);
             assert_eq!(idle_at, idle_at_l);
             leaped.skip_idle(idle_at, idle_at + gap, Some(&mut ins_l));
             assert_eq!(
@@ -731,13 +737,78 @@ mod tests {
             );
             assert_eq!(stepped.occupancy_accum, leaped.occupancy_accum);
             assert_eq!(stepped.occupancy_samples, leaped.occupancy_samples);
-            assert_eq!(records(&ins_s), records(&ins_l), "trace records, gap {gap}");
             assert_eq!(
-                resume(&mut stepped, idle_at + gap),
-                resume(&mut leaped, idle_at + gap),
+                trace_records(&ins_s),
+                trace_records(&ins_l),
+                "trace records, gap {gap}"
+            );
+            assert_eq!(
+                drain_more(&mut stepped, idle_at + gap),
+                drain_more(&mut leaped, idle_at + gap),
                 "post-gap drain, gap {gap}"
             );
         }
+    }
+
+    #[test]
+    fn skip_idle_composes_across_any_split_of_a_gap() {
+        // An engine that skips an idle device replays its gap in
+        // pieces of any length, one per call. Every split — at the
+        // tracer's due cycles, next to them, or at every cycle — must
+        // leave the controller exactly as one replay and as stepping.
+        let cfg = mem_cfg();
+        let gap = 2_500;
+        let (mut stepped, mut ins_s, idle_at) = idle_after_busy_prefix(&cfg);
+        let end = idle_at + gap;
+        for now in idle_at..end {
+            stepped.step_traced(now, None, Some(&mut ins_s));
+        }
+        let due: Vec<Cycle> = trace_records(&ins_s)
+            .iter()
+            .map(|r| r.1)
+            .filter(|&c| c >= idle_at)
+            .collect();
+        assert!(due.len() >= 2, "the gap must span tracer samples");
+        let (mut once, mut ins_o, _) = idle_after_busy_prefix(&cfg);
+        once.skip_idle(idle_at, end, Some(&mut ins_o));
+        let want = (format!("{stepped:?}"), trace_records(&ins_s));
+        assert_eq!((format!("{once:?}"), trace_records(&ins_o)), want);
+        let want_drain = drain_more(&mut stepped, end);
+
+        let mut splits: Vec<Vec<Cycle>> = [idle_at, idle_at + 1, idle_at + 2, end - 1, end]
+            .into_iter()
+            .chain(due.iter().flat_map(|&d| [d - 1, d, d + 1]))
+            .map(|c| vec![c])
+            .collect();
+        splits.push(due.clone());
+        splits.push((idle_at..=end).collect());
+        for cuts in splits {
+            let (mut split, mut ins_p, _) = idle_after_busy_prefix(&cfg);
+            let mut from = idle_at;
+            for &cut in cuts.iter().chain([end].iter()) {
+                split.skip_idle(from, cut, Some(&mut ins_p));
+                from = from.max(cut);
+            }
+            assert_eq!(
+                (format!("{split:?}"), trace_records(&ins_p)),
+                want,
+                "split at {:?}",
+                &cuts[..cuts.len().min(4)]
+            );
+            assert_eq!(drain_more(&mut split, end), want_drain);
+        }
+    }
+
+    #[test]
+    fn empty_skip_idle_is_a_no_op_even_on_a_busy_controller() {
+        let cfg = mem_cfg();
+        let mut mc = MemoryController::new(&cfg, Box::new(RoundRobinPolicy::new()));
+        mc.enqueue(StreamId::Compute, TrafficClass::GemmRead, 10_000, 1.0);
+        mc.step(0, None);
+        let before = format!("{mc:?}");
+        mc.skip_idle(1, 1, None);
+        mc.skip_idle(5, 1, None);
+        assert_eq!(format!("{mc:?}"), before);
     }
 
     #[test]

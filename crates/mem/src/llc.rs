@@ -5,8 +5,9 @@
 //! overlapped RS traffic; FC layers do not and slow down), and on T3's
 //! LLC *bypass* of GEMM output writes, which frees capacity for input
 //! reads (Section 6.2's GEMM read reductions). This model captures both:
-//! it is simulated per line with true LRU replacement, and writes can be
-//! sent around the cache ("uncached" allocations, Section 4.3).
+//! it is simulated per line with true LRU or (the paper default)
+//! random replacement, and writes can be sent around the cache
+//! ("uncached" allocations, Section 4.3).
 
 use t3_sim::config::{LlcReplacement, MemConfig};
 use t3_sim::Bytes;
@@ -39,19 +40,24 @@ impl FilterResult {
     }
 }
 
-/// A set-associative, write-back, write-allocate LLC with LRU
-/// replacement, simulated at line granularity.
+/// A set-associative, write-back, write-allocate LLC with LRU or
+/// random replacement, simulated at line granularity.
 #[derive(Debug, Clone)]
 pub struct Llc {
     line_bytes: Bytes,
     sets: u64,
     ways: usize,
-    /// `tags[set * ways + way]`; `u64::MAX` marks an invalid way.
-    tags: Vec<u64>,
-    /// LRU stamp per way (larger = more recently used).
+    /// `lines[set * ways + way]`: the way's tag shifted left by one,
+    /// with its dirty bit in bit 0 (a tag fits in 63 bits for any line
+    /// of 2 bytes or more). Ways fill in index order and
+    /// [`Llc::flush`] empties every set at once, so a set's valid ways
+    /// are always its first `filled[set]`.
+    lines: Vec<u64>,
+    /// Valid ways per set.
+    filled: Vec<usize>,
+    /// LRU stamp per way (larger = more recently used); empty under
+    /// random replacement, which never reads them.
     stamps: Vec<u64>,
-    /// Dirty bit per way.
-    dirty: Vec<bool>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -61,7 +67,8 @@ pub struct Llc {
     rng: u64,
 }
 
-const INVALID_TAG: u64 = u64::MAX;
+/// Bit 0 of a line word: the line is dirty.
+const DIRTY: u64 = 1;
 
 impl Llc {
     /// Builds the LLC described by `cfg` (16 MB, 16-way, 256 B lines in
@@ -70,13 +77,17 @@ impl Llc {
         let sets = cfg.llc_sets();
         let ways = cfg.llc_ways as usize;
         let lines = (sets as usize) * ways;
+        let stamps = match cfg.llc_replacement {
+            LlcReplacement::Lru => vec![0; lines],
+            LlcReplacement::Random => Vec::new(),
+        };
         Llc {
             line_bytes: cfg.llc_line,
             sets,
             ways,
-            tags: vec![INVALID_TAG; lines],
-            stamps: vec![0; lines],
-            dirty: vec![false; lines],
+            lines: vec![0; lines],
+            filled: vec![0; sets as usize],
+            stamps,
             tick: 0,
             hits: 0,
             misses: 0,
@@ -126,61 +137,76 @@ impl Llc {
 
     /// Invalidates the entire cache (e.g. between independent runs).
     pub fn flush(&mut self) {
-        self.tags.fill(INVALID_TAG);
-        self.dirty.fill(false);
-        self.stamps.fill(0);
+        self.filled.fill(0);
     }
 
     /// Accesses one line-aligned address. Returns `true` on hit.
     /// A miss allocates the line (possibly writing back a dirty victim,
     /// counted in [`Llc::writebacks`]).
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> bool {
-        self.tick += 1;
         let line = addr / self.line_bytes;
-        let set = (line % self.sets) as usize;
-        let tag = line / self.sets;
+        self.access_line((line % self.sets) as usize, line / self.sets, kind)
+    }
+
+    /// [`Llc::access`] of the line with `tag` in `set`.
+    fn access_line(&mut self, set: usize, tag: u64, kind: AccessKind) -> bool {
         let base = set * self.ways;
-        let ways = &mut self.tags[base..base + self.ways];
-        if let Some(way) = ways.iter().position(|&t| t == tag) {
-            self.stamps[base + way] = self.tick;
-            if kind == AccessKind::Write {
-                self.dirty[base + way] = true;
-            }
+        let filled = self.filled[set];
+        let key = tag << 1;
+        let dirty = u64::from(kind == AccessKind::Write);
+        let valid = &mut self.lines[base..base + filled];
+        if let Some(way) = valid.iter().position(|&w| w & !DIRTY == key) {
+            valid[way] |= dirty;
+            self.touch(base + way);
             self.hits += 1;
             return true;
         }
         self.misses += 1;
-        // Choose victim: invalid way first, else per replacement policy.
-        let victim = match ways.iter().position(|&t| t == INVALID_TAG) {
-            Some(w) => w,
-            None => match self.replacement {
-                LlcReplacement::Lru => {
-                    let mut lru_way = 0;
-                    let mut lru_stamp = u64::MAX;
-                    for w in 0..self.ways {
-                        if self.stamps[base + w] < lru_stamp {
-                            lru_stamp = self.stamps[base + w];
-                            lru_way = w;
-                        }
-                    }
-                    lru_way
-                }
-                LlcReplacement::Random => {
-                    self.rng = self
-                        .rng
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    ((self.rng >> 33) as usize) % self.ways
-                }
-            },
+        // Choose victim: the next empty way first, else per
+        // replacement policy.
+        let victim = if filled < self.ways {
+            self.filled[set] = filled + 1;
+            filled
+        } else {
+            let victim = self.victim(base);
+            self.writebacks += self.lines[base + victim] & DIRTY;
+            victim
         };
-        if self.tags[base + victim] != INVALID_TAG && self.dirty[base + victim] {
-            self.writebacks += 1;
-        }
-        self.tags[base + victim] = tag;
-        self.stamps[base + victim] = self.tick;
-        self.dirty[base + victim] = kind == AccessKind::Write;
+        self.lines[base + victim] = key | dirty;
+        self.touch(base + victim);
         false
+    }
+
+    /// Marks way `index` most recently used (LRU only).
+    fn touch(&mut self, index: usize) {
+        if self.replacement == LlcReplacement::Lru {
+            self.tick += 1;
+            self.stamps[index] = self.tick;
+        }
+    }
+
+    /// The way to evict from the full set starting at `base`.
+    fn victim(&mut self, base: usize) -> usize {
+        match self.replacement {
+            LlcReplacement::Lru => {
+                let mut lru_way = 0;
+                let mut lru_stamp = u64::MAX;
+                for (w, &stamp) in self.stamps[base..base + self.ways].iter().enumerate() {
+                    if stamp < lru_stamp {
+                        lru_stamp = stamp;
+                        lru_way = w;
+                    }
+                }
+                lru_way
+            }
+            LlcReplacement::Random => {
+                self.rng = self
+                    .rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((self.rng >> 33) as usize) % self.ways
+            }
+        }
     }
 
     /// Streams a contiguous `[start, start + bytes)` region through the
@@ -195,8 +221,11 @@ impl Llc {
         }
         let first = start / self.line_bytes;
         let last = (start + bytes - 1) / self.line_bytes;
-        for line in first..=last {
-            let hit = self.access(line * self.line_bytes, kind);
+        // Consecutive lines walk the sets in order; the tag moves on
+        // each time the set index wraps.
+        let (mut set, mut tag) = (first % self.sets, first / self.sets);
+        for _ in first..=last {
+            let hit = self.access_line(set as usize, tag, kind);
             if hit {
                 result.hit_bytes += self.line_bytes;
             } else if kind == AccessKind::Read {
@@ -205,6 +234,11 @@ impl Llc {
             // Write misses allocate without fetching (no-write-allocate
             // fill for full-line GEMM stores would also be valid; either
             // way the store itself generates no immediate DRAM read).
+            set += 1;
+            if set == self.sets {
+                set = 0;
+                tag += 1;
+            }
         }
         result
     }
@@ -214,10 +248,10 @@ impl Llc {
     /// stay valid (clean), so later readers can still hit.
     pub fn flush_dirty(&mut self) -> Bytes {
         let mut lines = 0u64;
-        for (tag, dirty) in self.tags.iter().zip(self.dirty.iter_mut()) {
-            if *tag != INVALID_TAG && *dirty {
-                lines += 1;
-                *dirty = false;
+        for (set, ways) in self.lines.chunks_exact_mut(self.ways).enumerate() {
+            for w in &mut ways[..self.filled[set]] {
+                lines += *w & DIRTY;
+                *w &= !DIRTY;
             }
         }
         lines * self.line_bytes
@@ -232,7 +266,7 @@ impl Llc {
 
     /// Number of currently valid lines (for occupancy assertions).
     pub fn valid_lines(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != INVALID_TAG).count()
+        self.filled.iter().sum()
     }
 }
 
@@ -397,11 +431,108 @@ mod tests {
         assert_eq!(run(), run());
     }
 
+    /// Drives a seeded mix of `access`, `access_range`, `flush_dirty`
+    /// and `flush` calls through a cache of the given geometry and
+    /// folds every observable after every call into one checksum.
+    fn replay_mix(
+        capacity: Bytes,
+        ways: u32,
+        line: Bytes,
+        replacement: LlcReplacement,
+        seed: u64,
+    ) -> (u64, u64, u64, u64, usize) {
+        let mut cfg = SystemConfig::paper_default().mem;
+        cfg.llc_capacity = capacity;
+        cfg.llc_ways = ways;
+        cfg.llc_line = line;
+        cfg.llc_replacement = replacement;
+        let mut llc = Llc::new(&cfg);
+        let mut rng = t3_sim::rng::SplitMix64::new(seed);
+        // Addresses span four capacities so sets wrap and evict.
+        let span = 4 * capacity;
+        let mut sum = 0xCBF2_9CE4_8422_2325u64;
+        let mut fold = |v: u64| sum = (sum ^ v).wrapping_mul(0x0000_0100_0000_01B3);
+        for _ in 0..20_000 {
+            let kind = if rng.gen_bool() {
+                AccessKind::Read
+            } else {
+                AccessKind::Write
+            };
+            match rng.gen_range(0, 100) {
+                0..=44 => fold(llc.access(rng.gen_range(0, span), kind) as u64),
+                45..=89 => {
+                    let start = rng.gen_range(0, span);
+                    let bytes = rng.gen_range(0, 24 * line);
+                    let r = llc.access_range(start, bytes, kind);
+                    fold(r.dram_bytes);
+                    fold(r.hit_bytes);
+                }
+                90..=95 => {
+                    // Long ranges wrap the set index several times.
+                    let start = rng.gen_range(0, span);
+                    let r = llc.access_range(start, rng.gen_range(capacity, 3 * capacity), kind);
+                    fold(r.dram_bytes);
+                    fold(r.hit_bytes);
+                }
+                96..=98 => fold(llc.flush_dirty()),
+                _ => llc.flush(),
+            }
+            fold(llc.hits());
+            fold(llc.misses());
+            fold(llc.writebacks());
+            fold(llc.valid_lines() as u64);
+        }
+        (
+            llc.hits(),
+            llc.misses(),
+            llc.writebacks(),
+            sum,
+            llc.valid_lines(),
+        )
+    }
+
+    #[test]
+    fn seeded_access_mix_is_pinned_for_every_geometry() {
+        use LlcReplacement::{Lru, Random};
+        // (capacity, ways, line): 64 sets; 15 sets (not a power of
+        // two); 8 sets x 16 ways of 128 B lines; one fully
+        // associative set.
+        let cases = [
+            (64 * 1024, 4, 256, Lru),
+            (64 * 1024, 4, 256, Random),
+            (15 * 4 * 256, 4, 256, Lru),
+            (15 * 4 * 256, 4, 256, Random),
+            (8 * 16 * 128, 16, 128, Lru),
+            (8 * 16 * 128, 16, 128, Random),
+            (8 * 256, 8, 256, Lru),
+            (8 * 256, 8, 256, Random),
+        ];
+        let got: Vec<_> = cases
+            .iter()
+            .map(|&(cap, ways, line, repl)| replay_mix(cap, ways, line, repl, 0x5EED_11C0))
+            .collect();
+        // (hits, misses, writebacks, per-call checksum, valid lines)
+        let want: [(u64, u64, u64, u64, usize); 8] = [
+            (54334, 701186, 307162, 4475765053792090762, 256),
+            (72951, 682569, 305227, 10743183802396750107, 256),
+            (35012, 238520, 107928, 6855068874165441292, 60),
+            (39326, 234206, 107724, 1313790787227381916, 60),
+            (40786, 403100, 175275, 18369938988068471882, 128),
+            (51670, 392216, 174973, 15486644691645428544, 128),
+            (9517, 137755, 67987, 11708072625007353531, 8),
+            (14973, 132299, 66529, 10254197432664630228, 8),
+        ];
+        for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
+            assert_eq!(g, w, "case {i}: {:?}", cases[i]);
+        }
+    }
+
     #[test]
     fn paper_llc_has_expected_geometry() {
         let cfg = SystemConfig::paper_default().mem;
         let llc = Llc::new(&cfg);
         assert_eq!(llc.line_bytes(), 256);
-        assert_eq!(llc.tags.len(), 65536);
+        assert_eq!(llc.lines.len(), 65536);
+        assert!(llc.stamps.is_empty(), "random replacement keeps no stamps");
     }
 }

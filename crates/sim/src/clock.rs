@@ -5,8 +5,11 @@
 //! [`SimMode::FastForward`] with every memory controller quiescent,
 //! leaps straight to the earliest component event and hands back the
 //! skipped gap so the caller can replay the controllers' idle
-//! bookkeeping with `MemoryController::skip_idle`. [`SimMode::Stepped`]
-//! runs the same loop with leaping off, and the clock alone owns the
+//! bookkeeping with `MemoryController::skip_idle`. A loop over many
+//! devices can also skip, cycle by cycle, each one that
+//! [`Clock::due`] says has nothing to do; the skipped device replays
+//! its own gap when it next steps. [`SimMode::Stepped`] runs the same
+//! loop with leaping and skipping off, and the clock alone owns the
 //! convergence guard.
 
 use std::ops::Range;
@@ -72,6 +75,15 @@ impl Clock {
         self.end.is_none_or(|end| self.now < end)
     }
 
+    /// Whether a component whose next event is `next` must step at
+    /// `now`: always in [`SimMode::Stepped`], which steps every
+    /// component every cycle, and in fast-forward only once `next` has
+    /// come (`None`: nothing pending, never due). A component that is
+    /// not due is skipped and later replays its idle gap.
+    pub fn due(&self, next: Option<Cycle>) -> bool {
+        self.mode == SimMode::Stepped || next.is_some_and(|t| t <= self.now)
+    }
+
     /// Moves `now` forward after the loop stepped cycle `now`.
     ///
     /// `next_event` is asked only in fast-forward mode and only when
@@ -79,8 +91,9 @@ impl Clock {
     /// earliest cycle after `now` at which any component can change
     /// state (`None`: nothing pending). The clock leaps when that
     /// prediction lies beyond `now + 1` and returns the skipped gap
-    /// `[now + 1, target)`, which the caller must replay on every
-    /// controller; otherwise it advances one cycle and returns `None`.
+    /// `[now + 1, target)`, which every controller must replay — at
+    /// once, or per device when it next steps; otherwise it advances
+    /// one cycle and returns `None`.
     ///
     /// # Panics
     ///
@@ -141,6 +154,24 @@ mod tests {
         // Quiescent and ahead: leap, returning exactly [now+1, target).
         assert_eq!(clock.advance(true, || Some(40)), Some(5..40));
         assert_eq!(clock.now(), 40);
+    }
+
+    #[test]
+    fn due_is_always_true_when_stepped_and_exact_when_fast_forward() {
+        let mut stepped = Clock::new(SimMode::Stepped);
+        let mut fast = Clock::new(SimMode::FastForward);
+        for _ in 0..5 {
+            let _ = stepped.advance(true, || None);
+            let _ = fast.advance(false, || None);
+        }
+        assert_eq!(fast.now(), 5);
+        for next in [None, Some(4), Some(5), Some(6), Some(Cycle::MAX)] {
+            assert!(stepped.due(next), "stepped, next {next:?}");
+        }
+        assert!(!fast.due(None));
+        assert!(fast.due(Some(4)));
+        assert!(fast.due(Some(5)));
+        assert!(!fast.due(Some(6)));
     }
 
     #[test]

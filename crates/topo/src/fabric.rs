@@ -167,6 +167,15 @@ impl Fabric {
         self.links.iter().all(|l| l.is_idle(now)) && self.inboxes.iter().all(BinaryHeap::is_empty)
     }
 
+    /// Whether GPU `gpu`'s inbox holds a message that has arrived by
+    /// `now`, i.e. whether [`Fabric::deliveries_until`] would return
+    /// anything.
+    pub fn arrival_due(&self, gpu: usize, now: Cycle) -> bool {
+        self.inboxes[gpu]
+            .peek()
+            .is_some_and(|Reverse(p)| p.arrival <= now)
+    }
+
     /// The next cycle strictly after `now` at which polling
     /// [`Fabric::deliveries_until`] for GPU `gpu` can return something
     /// new: the head inbox arrival, clamped forward to `now + 1` (a
@@ -306,6 +315,20 @@ mod tests {
         let a = fabric.send(0, 0, 2, 1, 107_000);
         let b = fabric.send(0, 1, 3, 2, 107_000);
         assert_eq!(a, b, "dedicated links carry both at once");
+    }
+
+    #[test]
+    fn arrival_due_agrees_with_deliveries_until() {
+        let topo = Topology::ring(4, &cfg());
+        let mut fabric = Fabric::new(&topo);
+        assert!(!fabric.arrival_due(1, Cycle::MAX), "empty inbox");
+        let arrival = fabric.send(0, 0, 1, 7, 1_000);
+        assert!(!fabric.arrival_due(1, arrival - 1));
+        assert!(fabric.deliveries_until(1, arrival - 1).is_empty());
+        assert!(fabric.arrival_due(1, arrival));
+        assert!(!fabric.arrival_due(0, arrival), "other inboxes stay empty");
+        assert_eq!(fabric.deliveries_until(1, arrival).len(), 1);
+        assert!(!fabric.arrival_due(1, arrival));
     }
 
     #[test]
