@@ -34,6 +34,18 @@ cargo fmt --check --manifest-path benchmark/Cargo.toml
 cargo clippy --offline --locked --all-targets --manifest-path benchmark/Cargo.toml -- -D warnings
 cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 
+echo "==> benchmark trace: paper-matrix and figures-fast (pins, digests, cross-checks)"
+# One traced and one plain sample of each workload; exits 1 when a
+# simulated-cycle pin, a result digest or a cross-check fails. The
+# paper-matrix traced sample re-simulates every distinct engine call
+# fresh and compares it with the op that came through the sublayer
+# memo; the figures-fast digest covers every job's stdout bytes, which
+# the cycles-only t3-prof gate below does not.
+for workload in paper-matrix figures-fast; do
+    cargo run --release --offline --locked --manifest-path benchmark/Cargo.toml \
+        -- trace --workload "$workload"
+done
+
 echo "==> figures smoke run (parallel runtime, fresh cache)"
 # Smoke artifacts live under target/ so a CI pass leaves the working
 # tree clean. The spec pair appends the 3D sweep rows to the legacy

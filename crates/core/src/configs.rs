@@ -15,12 +15,37 @@
 //!   dependencies; `max(GEMM, RS) + AG` of isolated runs.
 //! * [`Configuration::IdealRsNmc`] — "Ideal-RS+NMC": the above with
 //!   the RS itself accelerated by near-memory reductions.
+//!
+//! # Sublayer cost oracle
+//!
+//! A sublayer is made of at most two cycle-stepped engine runs: the
+//! isolated GEMM that Sequential, Ideal-GEMM-RS-Overlap and
+//! Ideal-RS+NMC share, and the fused GEMM-RS of T3 or T3-MCA. The
+//! collectives are analytic. [`Configuration::run_in_mode`] takes both
+//! engine runs from one process-wide, thread-safe memo, so each
+//! distinct run simulates once per process however many
+//! configurations, figures or serving buckets ask for it.
+//!
+//! * The key is the `Debug` rendering of every input: (`SystemConfig`,
+//!   `GemmGrid`, `SimMode`) for the isolated GEMM, (`SystemConfig`,
+//!   `GemmGrid`, `FusedOptions`) for the fused run. `Debug` is derived
+//!   on every field, so a new config field joins the key by itself,
+//!   and `f64` `Debug` round-trips exactly.
+//! * An entry keeps only the run's cycles and [`TrafficStats`].
+//! * The lock is held only while a key's slot is fetched, never while
+//!   simulating. A second caller of a key whose run is in flight waits
+//!   for that run instead of repeating it.
+//! * The primitive engines (`run_gemm_isolated*`, `run_fused_gemm_rs*`
+//!   and the multi-GPU engines) stay un-memoised, so instrumented runs,
+//!   engine tests and host-time measurements still simulate.
+
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::engine::{run_fused_gemm_rs, FusedOptions, PolicyChoice};
 use t3_gpu::collective::{CollectiveKind, RingCollective};
 use t3_gpu::engine::{run_gemm_isolated_in_mode, WritePolicy};
 use t3_gpu::gemm::{GemmGrid, GemmShape};
-use t3_mem::nmc::ReductionSubstrate;
 use t3_sim::config::SystemConfig;
 use t3_sim::stats::TrafficStats;
 use t3_sim::{Cycle, SimMode};
@@ -85,6 +110,10 @@ impl Configuration {
     /// [`Configuration::run`] with an explicit [`SimMode`] for the
     /// cycle-stepped components (the collective baselines are analytic
     /// and mode-independent). Both modes are byte-identical.
+    ///
+    /// The isolated GEMM and the fused GEMM-RS come from the process
+    /// memo (see the module docs), so each distinct engine run
+    /// simulates once however many configurations or callers ask.
     pub fn run_in_mode(
         self,
         sys: &SystemConfig,
@@ -94,90 +123,86 @@ impl Configuration {
         let grid = GemmGrid::new(&sys.gpu, *shape);
         let payload = shape.output_bytes();
         let ag = RingCollective::baseline(CollectiveKind::AllGather, payload, sys).simulate(sys);
-        match self {
-            Configuration::Sequential => {
-                let gemm = run_gemm_isolated_in_mode(sys, grid, WritePolicy::CachedLocal, mode);
-                let rs = RingCollective::baseline(CollectiveKind::ReduceScatter, payload, sys)
-                    .simulate(sys);
-                let mut stats = gemm.stats.clone();
-                stats.merge(&rs.stats);
-                stats.merge(&ag.stats);
-                SublayerOutcome {
-                    config: self,
-                    gemm_cycles: gemm.cycles,
-                    rs_cycles: rs.cycles,
-                    ag_cycles: ag.cycles,
-                    total_cycles: gemm.cycles + rs.cycles + ag.cycles,
-                    stats,
-                }
+        let (gemm_cycles, rs_cycles, span, mut stats) = match self.fused_options() {
+            // T3 variants: the RS hides inside the fused span.
+            Some(opts) => {
+                let (fused, stats) = fused_gemm_rs(sys, &grid, &FusedOptions { mode, ..opts });
+                (fused, 0, fused, stats)
             }
-            Configuration::T3 | Configuration::T3Mca => {
-                let policy = if self == Configuration::T3 {
-                    PolicyChoice::RoundRobin
-                } else {
-                    PolicyChoice::McaDynamic
-                };
-                let fused = run_fused_gemm_rs(
-                    sys,
-                    grid,
-                    &FusedOptions {
-                        policy,
-                        mode,
-                        ..FusedOptions::default()
-                    },
-                );
-                let mut stats = fused.stats.clone();
-                stats.merge(&ag.stats);
-                SublayerOutcome {
-                    config: self,
-                    gemm_cycles: fused.cycles,
-                    rs_cycles: 0,
-                    ag_cycles: ag.cycles,
-                    total_cycles: fused.cycles + ag.cycles,
-                    stats,
-                }
-            }
-            Configuration::IdealOverlap | Configuration::IdealRsNmc => {
-                let gemm = run_gemm_isolated_in_mode(sys, grid, WritePolicy::CachedLocal, mode);
+            None => {
+                let (gemm, mut stats) = isolated_gemm(sys, &grid, mode);
                 let rs = RingCollective::baseline(CollectiveKind::ReduceScatter, payload, sys)
                     .with_nmc(self == Configuration::IdealRsNmc)
                     .simulate(sys);
-                let mut stats = gemm.stats.clone();
                 stats.merge(&rs.stats);
-                stats.merge(&ag.stats);
-                SublayerOutcome {
-                    config: self,
-                    gemm_cycles: gemm.cycles,
-                    rs_cycles: rs.cycles,
-                    ag_cycles: ag.cycles,
-                    total_cycles: gemm.cycles.max(rs.cycles) + ag.cycles,
-                    stats,
-                }
+                let span = if self == Configuration::Sequential {
+                    gemm + rs.cycles
+                } else {
+                    gemm.max(rs.cycles)
+                };
+                (gemm, rs.cycles, span, stats)
             }
+        };
+        stats.merge(&ag.stats);
+        SublayerOutcome {
+            config: self,
+            gemm_cycles,
+            rs_cycles,
+            ag_cycles: ag.cycles,
+            total_cycles: span + ag.cycles,
+            stats,
         }
     }
 
     /// The fused-run options equivalent to this configuration, when it
     /// is a T3 variant.
     pub fn fused_options(self) -> Option<FusedOptions> {
-        match self {
-            Configuration::T3 => Some(FusedOptions {
-                policy: PolicyChoice::RoundRobin,
-                substrate: ReductionSubstrate::NearMemory,
-                stagger: true,
-                timeseries_bucket: None,
-                mode: SimMode::default(),
-            }),
-            Configuration::T3Mca => Some(FusedOptions {
-                policy: PolicyChoice::McaDynamic,
-                substrate: ReductionSubstrate::NearMemory,
-                stagger: true,
-                timeseries_bucket: None,
-                mode: SimMode::default(),
-            }),
-            _ => None,
-        }
+        let policy = match self {
+            Configuration::T3 => PolicyChoice::RoundRobin,
+            Configuration::T3Mca => PolicyChoice::McaDynamic,
+            _ => return None,
+        };
+        Some(FusedOptions {
+            policy,
+            ..FusedOptions::default()
+        })
     }
+}
+
+/// What the memo keeps of one engine run: its cycles and traffic.
+type EngineCost = (Cycle, TrafficStats);
+
+/// The process-wide engine-run memo: exact input key → a slot that is
+/// filled once. Entries are never evicted.
+static MEMO: Mutex<BTreeMap<String, Arc<OnceLock<EngineCost>>>> = Mutex::new(BTreeMap::new());
+
+/// Returns the memoised cost under `key`, running `simulate` on a
+/// miss. The lock is held only to fetch the slot; a second caller of
+/// a key whose run is in flight blocks on the slot until it is filled.
+fn memoised(key: String, simulate: impl FnOnce() -> EngineCost) -> EngineCost {
+    let slot = {
+        // The only update is one `entry().or_default()`, which leaves
+        // the map valid even if it panics, so a poisoned lock is safe.
+        let mut memo = MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(memo.entry(key).or_default())
+    };
+    slot.get_or_init(simulate).clone()
+}
+
+/// The isolated GEMM of the Sequential and Ideal configurations.
+fn isolated_gemm(sys: &SystemConfig, grid: &GemmGrid, mode: SimMode) -> EngineCost {
+    memoised(format!("gemm {sys:?} {grid:?} {mode:?}"), || {
+        let run = run_gemm_isolated_in_mode(sys, grid.clone(), WritePolicy::CachedLocal, mode);
+        (run.cycles, run.stats)
+    })
+}
+
+/// The fused GEMM-RS of the T3 configurations.
+fn fused_gemm_rs(sys: &SystemConfig, grid: &GemmGrid, opts: &FusedOptions) -> EngineCost {
+    memoised(format!("fused {sys:?} {grid:?} {opts:?}"), || {
+        let run = run_fused_gemm_rs(sys, grid.clone(), opts);
+        (run.cycles, run.stats)
+    })
 }
 
 /// Result of running a sliced sublayer under one configuration.

@@ -84,7 +84,7 @@ struct Running {
 /// Panics if `cfg.max_batch` is zero or any request generates zero
 /// tokens.
 pub fn run_engine(
-    cost: &mut CostModel,
+    cost: &CostModel,
     cfg: &EngineConfig,
     requests: &[Request],
     mut ins: Option<&mut Instruments>,
@@ -252,9 +252,8 @@ mod tests {
     #[test]
     fn every_request_completes_with_ordered_lifecycle() {
         let reqs = traffic(24);
-        let mut c = cost();
         let run = run_engine(
-            &mut c,
+            &cost(),
             &EngineConfig::with_mode(EngineMode::Baseline),
             &reqs,
             None,
@@ -278,8 +277,8 @@ mod tests {
     fn deterministic_across_runs() {
         let reqs = traffic(16);
         let cfg = EngineConfig::with_mode(EngineMode::Fused);
-        let a = run_engine(&mut cost(), &cfg, &reqs, None);
-        let b = run_engine(&mut cost(), &cfg, &reqs, None);
+        let a = run_engine(&cost(), &cfg, &reqs, None);
+        let b = run_engine(&cost(), &cfg, &reqs, None);
         assert_eq!(a, b);
     }
 
@@ -287,13 +286,13 @@ mod tests {
     fn fused_completes_no_later_and_wins_somewhere() {
         let reqs = traffic(24);
         let base = run_engine(
-            &mut cost(),
+            &cost(),
             &EngineConfig::with_mode(EngineMode::Baseline),
             &reqs,
             None,
         );
         let fused = run_engine(
-            &mut cost(),
+            &cost(),
             &EngineConfig::with_mode(EngineMode::Fused),
             &reqs,
             None,
@@ -311,7 +310,7 @@ mod tests {
         let reqs = traffic(6);
         let mut cfg = EngineConfig::with_mode(EngineMode::Baseline);
         cfg.max_batch = 1;
-        let run = run_engine(&mut cost(), &cfg, &reqs, None);
+        let run = run_engine(&cost(), &cfg, &reqs, None);
         assert_eq!(run.prefill_iterations, 6);
         let decode_tokens: u64 = reqs.iter().map(|r| r.output_tokens - 1).sum();
         assert_eq!(run.decode_iterations, decode_tokens);
@@ -327,7 +326,7 @@ mod tests {
         let mut cfg = EngineConfig::with_mode(EngineMode::Baseline);
         cfg.max_batch = 4;
         cfg.max_prefill_tokens = 150;
-        let run = run_engine(&mut cost(), &cfg, &reqs, None);
+        let run = run_engine(&cost(), &cfg, &reqs, None);
         // Prefill batches, in admission order, as request ids.
         let mut admitted: Vec<&RequestOutcome> = run.outcomes.iter().collect();
         admitted.sort_by_key(|o| (o.admitted, o.request.id));
@@ -368,7 +367,7 @@ mod tests {
         let reqs = traffic(8);
         let mut ins = Instruments::full();
         let run = run_engine(
-            &mut cost(),
+            &cost(),
             &EngineConfig::with_mode(EngineMode::Fused),
             &reqs,
             Some(&mut ins),
@@ -393,7 +392,7 @@ mod tests {
             r.output_tokens = 1;
         }
         let run = run_engine(
-            &mut cost(),
+            &cost(),
             &EngineConfig::with_mode(EngineMode::Baseline),
             &reqs,
             None,

@@ -14,9 +14,10 @@
 //!   cycle accounting for every request's enqueue → admission →
 //!   first-token → completion lifecycle.
 //! * [`cost`] — the iteration-cost oracle: token counts are bucketed
-//!   to powers of two and each bucket's sublayer cost is simulated
-//!   once with the paper's [`t3_core::configs::Configuration`]
-//!   engines (Sequential vs T3-MCA), then memoised.
+//!   to powers of two and each bucket is priced with the paper's
+//!   [`t3_core::configs::Configuration`] engines (Sequential vs
+//!   T3-MCA), whose runs the shared sublayer cost oracle simulates
+//!   once per process.
 //! * [`interference`] — multi-tenant fabric contention priced by
 //!   running staggered concurrent reduce-scatters on one shared
 //!   [`t3_topo::fabric::Fabric`].
@@ -43,9 +44,9 @@
 //!     token_divisor: 8,
 //! };
 //! let requests = generate_requests(&cfg, 0, 42);
-//! let mut cost = serve_cost_model();
+//! let cost = serve_cost_model();
 //! let run = run_engine(
-//!     &mut cost,
+//!     &cost,
 //!     &EngineConfig::with_mode(EngineMode::Fused),
 //!     &requests,
 //!     None,

@@ -118,7 +118,7 @@ impl ServingRow {
 /// against the **baseline** engine's decode capacity so both engines
 /// serve identical traffic.
 pub fn serving_traffic(
-    cost: &mut CostModel,
+    cost: &CostModel,
     load_permille: u64,
     arrival: ArrivalKind,
     tenants: u64,
@@ -145,11 +145,12 @@ pub fn serving_traffic(
     all
 }
 
-/// Runs one serving point. The caller shares `cost` across points so
-/// sublayer simulations are paid once per token bucket.
+/// Runs one serving point. Sublayer simulations are paid once per
+/// token bucket per process: the cost oracle under
+/// `Configuration::run_in_mode` keeps them.
 #[allow(clippy::too_many_arguments)] // -- one serving cell is genuinely this many knobs; every study wrapper names them explicitly
 pub fn serving_point(
-    cost: &mut CostModel,
+    cost: &CostModel,
     topology: &'static str,
     load_permille: u64,
     arrival: ArrivalKind,
@@ -210,13 +211,13 @@ pub fn serving_study(token_divisor: u64) -> Vec<ServingRow> {
 /// [`serving_study`] with the sublayer simulations running in an
 /// explicit mode. Every row must be identical across modes.
 pub fn serving_study_in_mode(token_divisor: u64, mode: SimMode) -> Vec<ServingRow> {
-    let mut cost = serve_cost_model_in_mode(mode);
+    let cost = serve_cost_model_in_mode(mode);
     let mut rows = Vec::new();
     for topology in SERVE_TOPOLOGIES {
         for (load, arrival) in SERVE_LOAD_POINTS {
             for mode in [EngineMode::Baseline, EngineMode::Fused] {
                 rows.push(serving_point(
-                    &mut cost,
+                    &cost,
                     topology,
                     load,
                     arrival,
@@ -236,12 +237,12 @@ pub fn serving_study_in_mode(token_divisor: u64, mode: SimMode) -> Vec<ServingRo
 /// advantage survives as fabric contention grows.
 pub fn tenant_sweep(token_divisor: u64) -> Vec<ServingRow> {
     let (load, arrival) = SERVE_LOAD_POINTS[1];
-    let mut cost = serve_cost_model();
+    let cost = serve_cost_model();
     let mut rows = Vec::new();
     for tenants in [1u64, 2, 4] {
         for mode in [EngineMode::Baseline, EngineMode::Fused] {
             rows.push(serving_point(
-                &mut cost,
+                &cost,
                 "ring",
                 load,
                 arrival,
@@ -266,11 +267,11 @@ pub fn traced_serving(token_divisor: u64) -> (Instruments, ServingRow, f64) {
 /// [`traced_serving`] with the sublayer simulations priced under an
 /// explicit mode; exported bytes must not depend on it.
 pub fn traced_serving_in_mode(token_divisor: u64, mode: SimMode) -> (Instruments, ServingRow, f64) {
-    let mut cost = serve_cost_model_in_mode(mode);
+    let cost = serve_cost_model_in_mode(mode);
     let mut ins = Instruments::full();
     let (load, arrival) = SERVE_LOAD_POINTS[1];
     let row = serving_point(
-        &mut cost,
+        &cost,
         "ring",
         load,
         arrival,
@@ -377,10 +378,10 @@ mod tests {
         let records = ins.tracer.as_ref().expect("tracer on").records();
         assert!(!records.is_empty());
         // Tracing must not perturb simulated results.
-        let mut cost = serve_cost_model();
+        let cost = serve_cost_model();
         let (load, arrival) = SERVE_LOAD_POINTS[1];
         let bare = serving_point(
-            &mut cost,
+            &cost,
             "ring",
             load,
             arrival,

@@ -32,7 +32,7 @@ fn main() {
         "  {:<10} {:>13} {:>12} {:>9}",
         "tokens", "baseline(us)", "t3-fused(us)", "speedup"
     );
-    let mut cost = study::serve_cost_model();
+    let cost = study::serve_cost_model();
     for tokens in [8u64, 32, 128, 512, 2048] {
         let base = cost.iteration_cycles(EngineMode::Baseline, tokens, 1000);
         let fused = cost.iteration_cycles(EngineMode::Fused, tokens, 1000);
