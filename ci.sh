@@ -34,14 +34,16 @@ cargo fmt --check --manifest-path benchmark/Cargo.toml
 cargo clippy --offline --locked --all-targets --manifest-path benchmark/Cargo.toml -- -D warnings
 cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 
-echo "==> benchmark trace: paper-matrix and figures-fast (pins, digests, cross-checks)"
+echo "==> benchmark trace: every workload (pins, digests, cross-checks)"
 # One traced and one plain sample of each workload; exits 1 when a
 # simulated-cycle pin, a result digest or a cross-check fails. The
 # paper-matrix traced sample re-simulates every distinct engine call
 # fresh and compares it with the op that came through the sublayer
 # memo; the figures-fast digest covers every job's stdout bytes, which
-# the cycles-only t3-prof gate below does not.
-for workload in paper-matrix figures-fast; do
+# the cycles-only t3-prof gate below does not. fabric-16 and traced
+# are the only workloads that pin the explicit multi-GPU engine's
+# per-GPU results and device 0's exported trace bytes.
+for workload in paper-matrix figures-fast fabric-16 traced; do
     cargo run --release --offline --locked --manifest-path benchmark/Cargo.toml \
         -- trace --workload "$workload"
 done

@@ -8,8 +8,8 @@
 //!
 //! Targets: `table1 table2 table3 fig4 fig6 fig14 fig15 fig16 fig17
 //! fig18 fig19 fig20 multinode extensions sweep serving serving-fused
-//! ff-speedup all`. `--fast` shrinks workloads 8x in the token
-//! dimension for smoke runs.
+//! all`. `--fast` shrinks workloads 8x in the token dimension for
+//! smoke runs.
 //!
 //! Positional arguments ending in `.t3w` / `.t3s` are declarative
 //! spec files (see `examples/specs/` and ARCHITECTURE §11): exactly
@@ -301,7 +301,7 @@ fn main() -> ExitCode {
 fn usage(error: &str) -> ExitCode {
     eprintln!("error: {error}");
     eprintln!(
-        "usage: figures [<table1|table2|table3|fig4|fig6|fig14|fig15|fig16|fig17|fig18|fig19|fig20|multinode|extensions|sweep|serving|serving-fused|ff-speedup|all> ...] [<workload.t3w> <system.t3s>] [flags]"
+        "usage: figures [<table1|table2|table3|fig4|fig6|fig14|fig15|fig16|fig17|fig18|fig19|fig20|multinode|extensions|sweep|serving|serving-fused|all> ...] [<workload.t3w> <system.t3s>] [flags]"
     );
     eprintln!("spec sweeps:");
     eprintln!("  figures sweep <workload.t3w> <system.t3s>   expand the spec pair into one job per TP*PP*DP*EP point");

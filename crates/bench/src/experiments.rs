@@ -9,9 +9,7 @@ use crate::report::{mb, pct, us, x, Table};
 use t3_core::agfuse::{run_fused_ag_gemm, sequential_ag_gemm, AgFuseOptions};
 use t3_core::configs::{Configuration, SublayerOutcome};
 use t3_core::engine::{run_fused_gemm_direct_rs, run_fused_gemm_rs, FusedOptions, PolicyChoice};
-use t3_core::multigpu::{
-    run_multi_gpu_fused_rs, run_multi_gpu_fused_rs_on, run_multi_gpu_fused_rs_sharded,
-};
+use t3_core::multigpu::{run_multi_gpu_fused_rs, run_multi_gpu_fused_rs_on};
 use t3_core::study;
 use t3_gpu::engine::{run_gemm_isolated_traced, WritePolicy};
 use t3_gpu::gemm::{GemmGrid, GemmShape};
@@ -1023,154 +1021,6 @@ pub fn traced_tnlg_sublayer_in_mode(
     let mut ins = t3_trace::Instruments::full();
     let run = t3_core::engine::run_fused_gemm_rs_instrumented(&sys, grid, &opts, Some(&mut ins));
     (ins, run, sys.gpu.clock_ghz)
-}
-
-// ---------------------------------------------------------------------
-// Engine speedup
-// ---------------------------------------------------------------------
-
-/// The result of one untimed warm-up run of `f`, and the minimum wall
-/// time of `iters` further timed runs, in nanoseconds. Min-of-N is the
-/// standard noise filter for a deterministic workload: every sample
-/// runs identical work, so the fastest one is the least-perturbed
-/// measurement.
-fn wall_ns_min<R>(iters: u32, mut f: impl FnMut() -> R) -> (R, u128) {
-    let warm = f();
-    let ns = (0..iters)
-        .map(|_| {
-            let start = std::time::Instant::now();
-            std::hint::black_box(f());
-            start.elapsed().as_nanos()
-        })
-        .min()
-        .expect("at least one iteration");
-    (warm, ns)
-}
-
-/// The `ff-speedup` target: runs the two long-burn simulator loops —
-/// the T-NLG FC-2 fused sublayer and the 16-GPU ring multinode study
-/// — under both the stepped reference engine and the event-driven
-/// fast-forward engine, asserts the simulated cycles are identical,
-/// and measures the wall-time win.
-///
-/// The returned table prints **only** simulated quantities, so
-/// `figures` stdout stays byte-deterministic run to run; the host
-/// wall measurements travel in the returned metrics instead
-/// (`speedup_wall_permille` rows in the `--report` artifact, where
-/// the perf gate already ignores host-dependent fields).
-pub fn ff_speedup(scale: ExperimentScale) -> (Table, Vec<(String, u64)>) {
-    const ITERS: u32 = 3;
-    let mut t = Table::new(
-        "Fast-forward engine: stepped vs. event-driven, identical cycles",
-        &[
-            "workload",
-            "sim cycles (stepped)",
-            "sim cycles (fast-forward)",
-        ],
-    );
-    let mut metrics = Vec::new();
-    let mut best_permille = 0u64;
-
-    let mut case = |name: &str, t: &mut Table, run: &mut dyn FnMut(SimMode) -> u64| {
-        let (stepped_cycles, stepped_ns) = wall_ns_min(ITERS, || run(SimMode::Stepped));
-        let (ff_cycles, ff_ns) = wall_ns_min(ITERS, || run(SimMode::FastForward));
-        assert_eq!(
-            stepped_cycles, ff_cycles,
-            "{name}: fast-forward must be cycle-identical to stepped"
-        );
-        let permille = (stepped_ns * 1000 / ff_ns.max(1)) as u64;
-        best_permille = best_permille.max(permille);
-        metrics.push((format!("speedup_wall_permille.{name}"), permille));
-        t.row(vec![
-            name.to_string(),
-            stepped_cycles.to_string(),
-            ff_cycles.to_string(),
-        ]);
-        t.tally_cycles(stepped_cycles);
-    };
-
-    {
-        let tp = 8u64;
-        let sys = system_for(tp);
-        let mut model = zoo::t_nlg();
-        model.batch = 4; // SL*B = 4K, the Figure 17 workload
-        let shape = scale.shape(&model, Sublayer::Fc2, tp);
-        let grid = GemmGrid::new(&sys.gpu, shape);
-        case("tnlg-fc2-tp8", &mut t, &mut |mode| {
-            let opts = FusedOptions {
-                policy: PolicyChoice::McaDynamic,
-                mode,
-                ..FusedOptions::default()
-            };
-            run_fused_gemm_rs(&sys, grid.clone(), &opts).cycles
-        });
-    }
-    {
-        let tp = 16u64;
-        let sys = system_for(tp);
-        let topo = topology_by_name("ring", tp as usize, &sys).expect("known name");
-        let shape = scale.shape(&zoo::t_nlg(), Sublayer::Fc2, tp);
-        let grid = GemmGrid::new(&sys.gpu, shape);
-        case("multinode-ring-tp16", &mut t, &mut |mode| {
-            let opts = FusedOptions {
-                mode,
-                ..FusedOptions::default()
-            };
-            run_multi_gpu_fused_rs_on(&sys, grid.clone(), &opts, &topo, None).cycles
-        });
-        // The full tentpole stack: the stepped sequential engine vs.
-        // the sharded engine (4 workers, fast-forward inside each
-        // cycle window). Sharding lifts the sequential leap's
-        // all-devices-idle requirement — each shard leaps its own
-        // devices independently — so this is the headline win.
-        case("multinode-ring-tp16-sharded4", &mut t, &mut |mode| {
-            let opts = FusedOptions {
-                mode,
-                ..FusedOptions::default()
-            };
-            match mode {
-                SimMode::Stepped => {
-                    run_multi_gpu_fused_rs_on(&sys, grid.clone(), &opts, &topo, None).cycles
-                }
-                SimMode::FastForward => {
-                    run_multi_gpu_fused_rs_sharded(&sys, grid.clone(), &opts, &topo, 4).cycles
-                }
-            }
-        });
-    }
-
-    {
-        // The scale-out variant: same 16-GPU ring study over
-        // inter-node links (InfiniBand-class bandwidth, microsecond
-        // latency). The run is latency-bound — most simulated cycles
-        // are pure in-flight waits — which is exactly the regime the
-        // event-driven engine exists for.
-        let tp = 16u64;
-        let sys = system_for(tp);
-        let internode = LinkConfig {
-            link_gb_s: 25.0,
-            clock_ghz: sys.link.clock_ghz,
-            latency_ns: 5000.0,
-        };
-        let topo = Topology::ring(tp as usize, &internode);
-        let shape = scale.shape(&zoo::t_nlg(), Sublayer::Fc2, tp);
-        let grid = GemmGrid::new(&sys.gpu, shape);
-        case("multinode-ring-tp16-internode", &mut t, &mut |mode| {
-            let opts = FusedOptions {
-                mode,
-                ..FusedOptions::default()
-            };
-            run_multi_gpu_fused_rs_on(&sys, grid.clone(), &opts, &topo, None).cycles
-        });
-    }
-
-    metrics.push(("speedup_wall_permille".to_string(), best_permille));
-    metrics.sort();
-    t.note(
-        "wall-time speedups are host measurements and live in the --report \
-         metrics (speedup_wall_permille); stdout prints simulated cycles only",
-    );
-    (t, metrics)
 }
 
 // ---------------------------------------------------------------------

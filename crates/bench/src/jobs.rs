@@ -44,7 +44,6 @@ pub const ALL_TARGETS: &[&str] = &[
     "sweep",
     "serving",
     "serving-fused",
-    "ff-speedup",
 ];
 
 /// A cheap-but-representative target subset for smoke tests of the
@@ -121,16 +120,6 @@ pub fn job_for(target: &str, scale: ExperimentScale, topology: Option<&str>) -> 
         "sweep" => Box::new(experiments::sweep),
         "serving" => Box::new(move || experiments::serving(scale)),
         "serving-fused" => Box::new(move || experiments::serving_fused(scale)),
-        // Not a plain table job: the wall measurements ride along as
-        // report metrics, so the closure builds the JobOutput itself.
-        "ff-speedup" => {
-            return Some(Job::new(target, fp, move || {
-                let (table, metrics) = experiments::ff_speedup(scale);
-                let mut out = render(&table);
-                out.metrics.extend(metrics);
-                out
-            }))
-        }
         _ => return None,
     };
     Some(Job::new(target, fp, move || render(&table())))

@@ -29,29 +29,38 @@
 //!   needed; messages crossing a shared switch port or a slow
 //!   inter-node link contend in the fabric's per-link serialisers.
 //!
-//! # Engines
+//! # Engine
 //!
-//! Both engines advance time on a [`Clock`], stepped or fast-forward
-//! per [`t3_sim::SimMode`], and produce byte-identical results:
+//! One driver advances time in windows of `1 + min link latency`
+//! cycles, short enough that no message sent inside a window can
+//! arrive within it, so each window's arrivals are known at its start.
+//! Devices are partitioned into contiguous shards; one loop,
+//! `simulate_window`, runs a shard through a window on a [`Clock`]
+//! bounded by the window end, stepped or fast-forward per
+//! [`t3_sim::SimMode`]:
 //!
-//! * **Sequential** ([`run_multi_gpu_fused_rs_on`]): one clock for all
-//!   devices. Each cycle steps, in device order, only the devices that
-//!   are due: a busy memory controller, a fabric arrival due, or the
-//!   device's own `next_event` (GEMM stage boundaries, DMA polling)
-//!   come ([`Clock::due`]; stepped mode steps every device every
-//!   cycle). A skipped device replays its idle gap's side effects
-//!   (tracer samples, arbiter wait counters, credit regeneration) in
-//!   one `MemoryController::skip_idle` call just before it next
-//!   steps, and through the final cycle when the run ends. When every
-//!   memory controller is idle the clock leaps to the minimum of the
-//!   devices' stored next events and the fabric's next arrival.
-//! * **Sharded** ([`run_multi_gpu_fused_rs_sharded`]): devices are
-//!   partitioned across worker threads and simulate windows of
-//!   `1 + min link latency` cycles independently (no message sent
-//!   inside a window can arrive within it), each on a clock bounded by
-//!   the window end, buffering outgoing sends; each window barrier
-//!   replays the buffered sends into the shared fabric in the exact
-//!   order the sequential loop would have used.
+//! * It walks cycles in order and, within a cycle, devices in order.
+//!   It steps a device only when a fabric arrival is due, or when the
+//!   device is unfinished and its memory controller is busy or its
+//!   own `next_event` (GEMM stage boundaries, DMA polling) has come
+//!   ([`Clock::due`]; stepped mode steps every unfinished device every
+//!   cycle). A finished device is never stepped again.
+//! * A skipped device replays its idle gap's side effects (tracer
+//!   samples, arbiter wait counters, credit regeneration) in one
+//!   `MemoryController::skip_idle` call just before it next steps, and
+//!   through the final cycle when the run ends.
+//! * When every memory controller of the shard is idle, the clock
+//!   leaps to the earliest device event or pending arrival.
+//!
+//! [`run_multi_gpu_fused_rs_on`] is the driver at one shard: it runs
+//! inline and sends straight into the fabric, so sends keep their
+//! `(cycle, device)` order and device 0 can be instrumented.
+//! [`run_multi_gpu_fused_rs_sharded`] runs one shard per worker thread,
+//! buffering sends and replaying them at each window barrier in that
+//! same order, so every width is byte-identical to one shard. In
+//! fast-forward mode a barrier with every memory controller idle leaps
+//! the next window's start to the earliest device event or fabric
+//! arrival, so long link waits cost no empty windows.
 
 use std::collections::VecDeque;
 use std::panic::resume_unwind;
@@ -69,7 +78,7 @@ use t3_net::ring::Ring;
 use t3_sim::clock::Clock;
 use t3_sim::config::SystemConfig;
 use t3_sim::stats::{TrafficClass, TrafficStats};
-use t3_sim::{Bytes, Cycle};
+use t3_sim::{Bytes, Cycle, SimMode};
 use t3_topo::{Arrival, Fabric, Schedule, Topology};
 use t3_trace::{reborrow, Event, Instruments};
 
@@ -130,6 +139,23 @@ struct Gpu {
     gemm_done: bool,
     finished_at: Option<Cycle>,
     dma_transfers: u64,
+    /// The next event as predicted after the device's last step.
+    next: Option<Cycle>,
+    /// The first cycle the device has neither stepped nor replayed.
+    synced: Cycle,
+}
+
+impl Gpu {
+    /// Whether the device has nothing left to do: its GEMM is done,
+    /// every chunk is complete and every queue has drained.
+    fn finished(&self) -> bool {
+        self.mc.is_idle()
+            && self.gemm_done
+            && self.dma_reading.is_none()
+            && self.dma_queue.is_empty()
+            && self.feed.is_empty()
+            && self.chunks.iter().all(ChunkState::complete)
+    }
 }
 
 /// A fabric send a sharded worker buffered during its window, replayed
@@ -144,9 +170,9 @@ struct SendIntent {
 }
 
 /// Where a device's outgoing fabric traffic goes: straight onto the
-/// shared fabric (sequential engine) or into a per-worker buffer for
-/// deterministic replay at the window barrier (sharded engine — which
-/// never instruments, so the buffered variant ignores `ins`).
+/// shared fabric (a single shard) or into a per-worker buffer for
+/// deterministic replay at the window barrier (several shards, which
+/// never instrument, so the buffered variant ignores `ins`).
 enum SendSink<'a> {
     Fabric(&'a mut Fabric),
     Buffer(&'a mut Vec<SendIntent>),
@@ -192,7 +218,7 @@ impl SendSink<'_> {
         mut ins: Option<&mut Instruments>,
     ) {
         match self {
-            SendSink::Fabric(fabric) => {
+            SendSink::Fabric(fabric) if ins.is_some() => {
                 let out_port = fabric.topo().route(src, dst)[0];
                 let hops = fabric.topo().route(src, dst).len() as u64;
                 let start = fabric.link(out_port).busy_until().max(now);
@@ -212,16 +238,7 @@ impl SendSink<'_> {
                     ins.add("dma.chunks_sent", 1);
                 }
             }
-            SendSink::Buffer(intents) => {
-                debug_assert!(ins.is_none(), "sharded windows are uninstrumented");
-                intents.push(SendIntent {
-                    cycle: now,
-                    src,
-                    dst,
-                    tag,
-                    bytes,
-                });
-            }
+            _ => self.send_update(now, src, dst, tag, bytes, ins),
         }
     }
 }
@@ -243,25 +260,8 @@ pub fn run_multi_gpu_fused_rs(
     grid: GemmGrid,
     opts: &FusedOptions,
 ) -> MultiGpuResult {
-    run_multi_gpu_fused_rs_instrumented(sys, grid, opts, None)
-}
-
-/// [`run_multi_gpu_fused_rs`] with optional structured instrumentation
-/// of **device 0** (all devices are homogeneous, so one observed GPU
-/// is representative — the same argument as the mirrored methodology).
-/// Passing `None` is bit-identical to `run_multi_gpu_fused_rs`.
-///
-/// # Panics
-///
-/// As [`run_multi_gpu_fused_rs`].
-pub fn run_multi_gpu_fused_rs_instrumented(
-    sys: &SystemConfig,
-    grid: GemmGrid,
-    opts: &FusedOptions,
-    ins: Option<&mut Instruments>,
-) -> MultiGpuResult {
     let topo = Topology::ring(sys.num_gpus, &sys.link);
-    run_multi_gpu_fused_rs_on(sys, grid, opts, &topo, ins)
+    run_multi_gpu_fused_rs_on(sys, grid, opts, &topo, None)
 }
 
 /// Builds the per-device simulation state and the shared fabric.
@@ -339,6 +339,10 @@ fn build_run(
                 gemm_done: false,
                 finished_at: None,
                 dma_transfers: 0,
+                // Every device steps at cycle 0, where its GEMM engine
+                // re-anchors its launch.
+                next: Some(0),
+                synced: 0,
             }
         })
         .collect();
@@ -507,14 +511,7 @@ fn step_device(
     // Completion bookkeeping (fabric payloads may still be in
     // flight toward a peer; that time belongs to the receiver,
     // which cannot finish before consuming them).
-    if gpu.finished_at.is_none()
-        && gpu.gemm_done
-        && gpu.chunks.iter().all(ChunkState::complete)
-        && gpu.feed.is_empty()
-        && gpu.dma_reading.is_none()
-        && gpu.dma_queue.is_empty()
-        && gpu.mc.is_idle()
-    {
+    if gpu.finished_at.is_none() && gpu.finished() {
         gpu.finished_at = Some(now);
     }
 }
@@ -534,23 +531,50 @@ fn device_next_event(gpu: &Gpu, now: Cycle) -> Option<Cycle> {
     events.into_iter().flatten().min()
 }
 
-/// Every device's finish cycle, once all of them have finished.
-fn finish_cycles(gpus: &[Gpu]) -> Option<Vec<Cycle>> {
-    let all = gpus.iter().all(|g| g.finished_at.is_some());
-    all.then(|| gpus.iter().filter_map(|g| g.finished_at).collect())
-}
-
-/// Assembles the run result from the devices' finish cycles.
-fn finish_result(per_gpu_cycles: Vec<Cycle>, gpus: &[Gpu], fabric: &Fabric) -> MultiGpuResult {
-    let max = per_gpu_cycles.iter().copied().fold(0, Cycle::max);
-    let min = per_gpu_cycles.iter().copied().fold(max, Cycle::min);
-    MultiGpuResult {
-        cycles: max,
-        skew: max - min,
-        per_gpu_stats: gpus.iter().map(|g| g.mc.stats().clone()).collect(),
-        dma_transfers: gpus.iter().map(|g| g.dma_transfers).sum(),
-        link_bytes: fabric.link_bytes(),
-        per_gpu_cycles,
+/// Simulates one shard, whose devices start at global index `first`,
+/// through the window `clock` bounds: cycle by cycle, and within a
+/// cycle device by device, stepping only the devices that are due (see
+/// the module docs). `pending` holds each device's pre-popped arrivals
+/// for the window. `ins` must be `Some` only for the shard holding
+/// device 0, which it instruments.
+fn simulate_window(
+    shard: &mut [Gpu],
+    first: usize,
+    mut clock: Clock,
+    pending: &mut [VecDeque<Arrival>],
+    sink: &mut SendSink,
+    ctx: &StepCtx,
+    mut ins: Option<&mut Instruments>,
+) {
+    while clock.running() {
+        let now = clock.now();
+        for (i, (gpu, pend)) in shard.iter_mut().zip(pending.iter_mut()).enumerate() {
+            let arrived = pend.front().is_some_and(|a| a.arrival <= now);
+            let due = clock.due(gpu.next) || !gpu.mc.is_idle();
+            if !(arrived || due && !gpu.finished()) {
+                continue;
+            }
+            let d = first + i;
+            let mut dev_ins = if d == 0 { reborrow(&mut ins) } else { None };
+            gpu.mc.skip_idle(gpu.synced, now, reborrow(&mut dev_ins));
+            while let Some(&arrival) = pend.front().filter(|a| a.arrival <= now) {
+                pend.pop_front();
+                deliver_incoming(gpu, now, arrival, ctx, reborrow(&mut dev_ins));
+            }
+            step_device(gpu, d, now, ctx, sink, dev_ins);
+            gpu.next = device_next_event(gpu, now);
+            gpu.synced = now + 1;
+        }
+        // A finished device has no next event, so the leap waits only
+        // on unfinished devices and arrivals. Skipped devices replay
+        // the leaped gap themselves.
+        let quiescent = shard.iter().all(|g| g.mc.is_idle());
+        clock.advance(quiescent, || {
+            let devices = shard.iter().filter_map(|g| g.next);
+            let arrivals = pending.iter().filter_map(|p| p.front());
+            let arrivals = arrivals.map(|a| a.arrival.max(now + 1));
+            devices.chain(arrivals).min()
+        });
     }
 }
 
@@ -562,7 +586,10 @@ fn finish_result(per_gpu_cycles: Vec<Cycle>, gpus: &[Gpu], fabric: &Fabric) -> M
 ///
 /// `opts.mode` selects stepped or fast-forward time advancement; the
 /// two are byte-identical (the stepped path is the reference kept for
-/// the equivalence tests).
+/// the equivalence tests). `ins` instruments **device 0** (all devices
+/// are homogeneous, so one observed GPU is representative, the same
+/// argument as the mirrored methodology); passing `None` leaves the
+/// result bit-identical.
 ///
 /// # Panics
 ///
@@ -573,6 +600,40 @@ pub fn run_multi_gpu_fused_rs_on(
     grid: GemmGrid,
     opts: &FusedOptions,
     topo: &Topology,
+    ins: Option<&mut Instruments>,
+) -> MultiGpuResult {
+    run_windows(sys, grid, opts, topo, 1, ins)
+}
+
+/// [`run_multi_gpu_fused_rs_on`] on `threads` worker threads, one
+/// contiguous shard of devices each, byte-identical to it at every
+/// width (see the module docs). Worker panics are re-raised on the
+/// caller in shard order (lowest devices first), the same ordered-merge
+/// discipline as `t3-runtime`'s scheduler pool.
+///
+/// # Panics
+///
+/// As [`run_multi_gpu_fused_rs_on`], plus any panic raised inside a
+/// worker.
+pub fn run_multi_gpu_fused_rs_sharded(
+    sys: &SystemConfig,
+    grid: GemmGrid,
+    opts: &FusedOptions,
+    topo: &Topology,
+    threads: usize,
+) -> MultiGpuResult {
+    run_windows(sys, grid, opts, topo, threads, None)
+}
+
+/// The window driver behind both entry points: `shards` contiguous
+/// shards advance through windows of `1 + min link latency` cycles,
+/// inline for one shard and on scoped worker threads otherwise.
+fn run_windows(
+    sys: &SystemConfig,
+    grid: GemmGrid,
+    opts: &FusedOptions,
+    topo: &Topology,
+    shards: usize,
     mut ins: Option<&mut Instruments>,
 ) -> MultiGpuResult {
     let (mut gpus, mut fabric) = build_run(sys, &grid, opts, topo);
@@ -580,63 +641,92 @@ pub fn run_multi_gpu_fused_rs_on(
         grid: &grid,
         update_cost: opts.substrate.update_cost_multiplier(&sys.mem),
     };
+    // Every hop costs at least one serialisation cycle plus the link
+    // latency, so nothing sent inside a window lands within it.
+    let window: Cycle = 1 + topo
+        .links()
+        .iter()
+        .map(|l| l.cfg.latency_cycles())
+        .min()
+        .unwrap_or(0);
+    let n = gpus.len();
+    let per = n.div_ceil(shards.clamp(1, n));
 
-    let mut clock = Clock::new(opts.mode);
-    // Per device: its next event as predicted after its last step, and
-    // the first cycle it has neither stepped nor replayed. Every device
-    // steps at cycle 0, where its GEMM engine re-anchors its launch.
-    let mut next: Vec<Option<Cycle>> = vec![Some(0); gpus.len()];
-    let mut synced: Vec<Cycle> = vec![0; gpus.len()];
-    let per_gpu_cycles = loop {
-        let now = clock.now();
-        // Devices step in index order, so fabric sends keep their
-        // (cycle, device) order. An idle device with nothing due is
-        // skipped; it replays its idle gap just before it next steps.
-        for (d, gpu) in gpus.iter_mut().enumerate() {
-            if !(clock.due(next[d]) || !gpu.mc.is_idle() || fabric.arrival_due(d, now)) {
-                continue;
+    let mut t0: Cycle = 0;
+    loop {
+        let t_end = t0 + window;
+        let mut pending: Vec<VecDeque<Arrival>> = (0..n)
+            .map(|d| fabric.deliveries_until(d, t_end - 1).into())
+            .collect();
+        let clock = Clock::bounded(opts.mode, t0, t_end);
+        if per == n {
+            let (sink, ins) = (&mut SendSink::Fabric(&mut fabric), reborrow(&mut ins));
+            simulate_window(&mut gpus, 0, clock, &mut pending, sink, &ctx, ins);
+        } else {
+            let mut merged: Vec<SendIntent> = thread::scope(|scope| {
+                let handles: Vec<_> = gpus
+                    .chunks_mut(per)
+                    .zip(pending.chunks_mut(per))
+                    .enumerate()
+                    .map(|(w, (shard, pend))| {
+                        let (ctx, clock) = (&ctx, clock.clone());
+                        scope.spawn(move || {
+                            let mut intents = Vec::new();
+                            let sink = &mut SendSink::Buffer(&mut intents);
+                            simulate_window(shard, w * per, clock, pend, sink, ctx, None);
+                            intents
+                        })
+                    })
+                    .collect();
+                // Ordered merge: the first panic re-raises in shard order.
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)))
+                    .collect()
+            });
+            // Replay in (cycle, device, program order).
+            merged.sort_by_key(|i| (i.cycle, i.src));
+            for it in &merged {
+                fabric.send(it.cycle, it.src, it.dst, it.tag, it.bytes);
             }
-            let mut dev_ins = if d == 0 { reborrow(&mut ins) } else { None };
-            gpu.mc.skip_idle(synced[d], now, reborrow(&mut dev_ins));
-            for arrival in fabric.deliveries_until(d, now) {
-                deliver_incoming(gpu, now, arrival, &ctx, reborrow(&mut dev_ins));
-            }
-            step_device(
-                gpu,
-                d,
-                now,
-                &ctx,
-                &mut SendSink::Fabric(&mut fabric),
-                dev_ins,
-            );
-            next[d] = device_next_event(gpu, now);
-            synced[d] = now + 1;
         }
+        debug_assert!(
+            pending.iter().all(VecDeque::is_empty),
+            "window left arrivals unconsumed"
+        );
 
-        if let Some(finished) = finish_cycles(&gpus) {
-            if fabric.busy_until() <= now {
-                // Replay every skipped device through the final cycle,
-                // as the stepped run leaves it (device 0's queue-depth
-                // samples included).
-                for (d, gpu) in gpus.iter_mut().enumerate() {
-                    let dev_ins = if d == 0 { reborrow(&mut ins) } else { None };
-                    gpu.mc.skip_idle(synced[d], now + 1, dev_ins);
-                }
-                break finished;
-            }
+        if gpus.iter().all(|g| g.finished_at.is_some()) && fabric.is_idle(t_end - 1) {
+            break;
         }
-        // With every memory controller drained the only future events
-        // are GEMM phase boundaries and fabric arrivals. Skipped
-        // devices replay the leaped gap themselves.
-        let quiescent = gpus.iter().all(|g| g.mc.is_idle());
-        clock.advance(quiescent, || {
-            let devices = next.iter().flatten().copied();
-            devices.chain(fabric.next_event(now)).min()
-        });
+        // Barrier leap: with every controller drained, nothing happens
+        // before the next device event or fabric arrival.
+        t0 = t_end;
+        if opts.mode == SimMode::FastForward && gpus.iter().all(|g| g.mc.is_idle()) {
+            let devices = gpus.iter().filter_map(|g| g.next);
+            let next = devices.chain(fabric.next_event(t_end - 1)).min();
+            t0 = next.map_or(t_end, |t| t.max(t_end));
+        }
+    }
+
+    // Replay every device through the final cycle, as a stepped run
+    // leaves it (device 0's queue-depth samples included).
+    let per_gpu_cycles: Vec<Cycle> = gpus.iter().filter_map(|g| g.finished_at).collect();
+    let cycles = per_gpu_cycles.iter().copied().fold(0, Cycle::max);
+    let end = cycles.max(fabric.busy_until()) + 1;
+    for (d, gpu) in gpus.iter_mut().enumerate() {
+        let dev_ins = if d == 0 { reborrow(&mut ins) } else { None };
+        gpu.mc.skip_idle(gpu.synced, end, dev_ins);
+    }
+
+    let result = MultiGpuResult {
+        cycles,
+        skew: cycles - per_gpu_cycles.iter().copied().fold(cycles, Cycle::min),
+        per_gpu_stats: gpus.iter().map(|g| g.mc.stats().clone()).collect(),
+        dma_transfers: gpus.iter().map(|g| g.dma_transfers).sum(),
+        link_bytes: fabric.link_bytes(),
+        per_gpu_cycles,
     };
-
-    let result = finish_result(per_gpu_cycles, &gpus, &fabric);
-    if let Some(ins) = reborrow(&mut ins) {
+    if let Some(ins) = ins {
         let gpu0 = &gpus[0];
         ins.record(
             result.cycles,
@@ -658,158 +748,11 @@ pub fn run_multi_gpu_fused_rs_on(
     result
 }
 
-/// Simulates one device across the window `clock` bounds, consuming
-/// its pre-popped fabric arrivals and buffering outgoing sends into
-/// `intents`. Fast-forward leaps idle gaps inside the window exactly
-/// as the sequential engine does, clamped to the window end.
-fn simulate_device_window(
-    gpu: &mut Gpu,
-    d: usize,
-    mut clock: Clock,
-    pend: &mut VecDeque<Arrival>,
-    ctx: &StepCtx,
-    intents: &mut Vec<SendIntent>,
-) {
-    while clock.running() {
-        let now = clock.now();
-        while let Some(&arrival) = pend.front().filter(|a| a.arrival <= now) {
-            pend.pop_front();
-            deliver_incoming(gpu, now, arrival, ctx, None);
-        }
-        step_device(gpu, d, now, ctx, &mut SendSink::Buffer(intents), None);
-
-        let gap = clock.advance(gpu.mc.is_idle(), || {
-            let pend_at = pend.front().map(|a| a.arrival.max(now + 1));
-            device_next_event(gpu, now).into_iter().chain(pend_at).min()
-        });
-        if let Some(gap) = gap {
-            gpu.mc.skip_idle(gap.start, gap.end, None);
-        }
-    }
-}
-
-/// [`run_multi_gpu_fused_rs_on`] sharded across a pool of worker
-/// threads with deterministic cycle-window barriers.
-///
-/// Devices are partitioned into contiguous shards, one per worker.
-/// Each window spans `1 + min link latency` cycles — short enough
-/// that no message sent inside a window can arrive within it (every
-/// hop costs at least one serialisation cycle plus the link latency),
-/// so a window's arrivals are fully known at its start. Workers
-/// simulate their devices independently through the window, buffering
-/// outgoing fabric sends; at the barrier the coordinator replays the
-/// buffered sends into the shared fabric in the exact
-/// `(cycle, device, program order)` the sequential loop would have
-/// used, making the run byte-identical to the sequential engine at
-/// every thread width.
-///
-/// Worker panics are re-raised on the coordinator in shard order
-/// (lowest devices first) — the same ordered-merge discipline as
-/// `t3-runtime`'s scheduler pool. Instrumentation is not supported on
-/// this path; use [`run_multi_gpu_fused_rs_on`] to trace device 0.
-///
-/// # Panics
-///
-/// As [`run_multi_gpu_fused_rs_on`], plus any panic raised inside a
-/// worker.
-pub fn run_multi_gpu_fused_rs_sharded(
-    sys: &SystemConfig,
-    grid: GemmGrid,
-    opts: &FusedOptions,
-    topo: &Topology,
-    threads: usize,
-) -> MultiGpuResult {
-    let n = sys.num_gpus;
-    let threads = threads.clamp(1, n);
-    let (mut gpus, mut fabric) = build_run(sys, &grid, opts, topo);
-    let ctx = StepCtx {
-        grid: &grid,
-        update_cost: opts.substrate.update_cost_multiplier(&sys.mem),
-    };
-    let window: Cycle = 1 + topo
-        .links()
-        .iter()
-        .map(|l| l.cfg.latency_cycles())
-        .min()
-        .unwrap_or(0);
-    let per = n.div_ceil(threads);
-
-    let mut t0: Cycle = 0;
-    let per_gpu_cycles = loop {
-        let t_end = t0 + window;
-        // Pre-pop every arrival landing inside this window; nothing
-        // sent during the window can land before `t_end`.
-        let mut pending: Vec<VecDeque<Arrival>> = (0..n)
-            .map(|d| fabric.deliveries_until(d, t_end - 1).into())
-            .collect();
-
-        let outcomes: Vec<thread::Result<Vec<SendIntent>>> = thread::scope(|scope| {
-            let handles: Vec<_> = gpus
-                .chunks_mut(per)
-                .zip(pending.chunks_mut(per))
-                .enumerate()
-                .map(|(w, (gpu_shard, pend_shard))| {
-                    let ctx = &ctx;
-                    scope.spawn(move || {
-                        let mut intents = Vec::new();
-                        for (i, (gpu, pend)) in
-                            gpu_shard.iter_mut().zip(pend_shard.iter_mut()).enumerate()
-                        {
-                            let clock = Clock::bounded(opts.mode, t0, t_end);
-                            simulate_device_window(
-                                gpu,
-                                w * per + i,
-                                clock,
-                                pend,
-                                ctx,
-                                &mut intents,
-                            );
-                        }
-                        intents
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join()).collect()
-        });
-
-        // Ordered merge: replay every worker's buffered sends in the
-        // sequential loop's (cycle, device, program order); re-raise
-        // the first panic in shard order.
-        let mut merged: Vec<SendIntent> = Vec::new();
-        for outcome in outcomes {
-            match outcome {
-                Ok(intents) => merged.extend(intents),
-                Err(payload) => resume_unwind(payload),
-            }
-        }
-        merged.sort_by_key(|i| (i.cycle, i.src));
-        for it in &merged {
-            fabric.send_traced(it.cycle, it.src, it.dst, it.tag, it.bytes, None);
-        }
-        debug_assert!(
-            pending.iter().all(VecDeque::is_empty),
-            "window left arrivals unconsumed"
-        );
-
-        // The device clocks guard convergence: each window runs every
-        // device's clock up to `t_end`.
-        t0 = t_end;
-        if let Some(finished) = finish_cycles(&gpus) {
-            if fabric.is_idle(t0 - 1) {
-                break finished;
-            }
-        }
-    };
-
-    finish_result(per_gpu_cycles, &gpus, &fabric)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::run_fused_gemm_rs;
     use t3_gpu::gemm::GemmShape;
-    use t3_sim::SimMode;
 
     fn sys() -> SystemConfig {
         SystemConfig::paper_default()
@@ -903,16 +846,19 @@ mod tests {
         let grid = small_grid(&s);
         let mut a = Instruments::full();
         let mut b = Instruments::full();
-        let stepped = run_multi_gpu_fused_rs_instrumented(
+        let topo = Topology::ring(s.num_gpus, &s.link);
+        let stepped = run_multi_gpu_fused_rs_on(
             &s,
             grid.clone(),
             &opts_in(SimMode::Stepped),
+            &topo,
             Some(&mut a),
         );
-        let fast = run_multi_gpu_fused_rs_instrumented(
+        let fast = run_multi_gpu_fused_rs_on(
             &s,
             grid,
             &opts_in(SimMode::FastForward),
+            &topo,
             Some(&mut b),
         );
         assert_eq!(stepped.cycles, fast.cycles);
@@ -1030,14 +976,16 @@ mod tests {
     #[test]
     fn mirrored_methodology_validation() {
         // The explicit N-GPU run and the mirrored single-GPU run must
-        // agree closely (paper Section 5.1.1's justification).
+        // agree closely (paper Section 5.1.1's justification). Both are
+        // deterministic and measured 438,774 vs 438,803 cycles apart
+        // (0.0066%), so the bound is 0.01%.
         let s = sys();
         let explicit = run_multi_gpu_fused_rs(&s, grid_of(&s), &FusedOptions::default());
         let mirrored = run_fused_gemm_rs(&s, grid_of(&s), &FusedOptions::default());
         let err = explicit.mirror_error(&mirrored);
         assert!(
-            err < 0.05,
-            "mirrored methodology off by {:.1}% ({} vs {})",
+            err < 1e-4,
+            "mirrored methodology off by {:.4}% ({} vs {})",
             err * 100.0,
             explicit.cycles,
             mirrored.cycles

@@ -68,8 +68,8 @@ impl BenchSample {
 
 /// Renders a [`RunSummary`] as the `bench_report.json` artifact:
 /// per-job rows (submission order) with status, fingerprint, wall
-/// time, simulated cycles and any free-form job metrics (e.g. the
-/// `ff-speedup` target's `speedup_wall_permille`), plus run-level
+/// time, simulated cycles and any free-form job metrics (e.g. a spec
+/// sweep row's `dp_exposed_cycles`), plus run-level
 /// totals and cache statistics.
 pub fn report_json(summary: &RunSummary) -> String {
     let mut s = String::from("{\n");

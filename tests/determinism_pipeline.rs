@@ -162,24 +162,67 @@ fn serving_fast_forward_artifacts_are_byte_identical_to_stepped() {
 fn sharded_engine_matches_sequential_at_every_width() {
     use t3_core::engine::FusedOptions;
     use t3_core::multigpu::{run_multi_gpu_fused_rs_on, run_multi_gpu_fused_rs_sharded};
+    use t3_sim::config::LinkConfig;
+    use t3_topo::Topology;
 
+    // Every width, uneven shards (3 of 16) included, in both modes must
+    // reproduce the stepped single-shard reference byte for byte. The
+    // fabrics span the barrier leap's regimes: the ring keeps every
+    // device busy, the hierarchical fabric's slow leaders leave most
+    // devices idle, and the latency-bound inter-node ring (25 GB/s,
+    // 5 us) spends most cycles with every controller drained.
     let sys = t3_sim::config::SystemConfig::paper_default().with_num_gpus(16);
-    let topo = t3_topo::Topology::ring(16, &sys.link);
-    let grid = t3_gpu::gemm::GemmGrid::new(&sys.gpu, t3_gpu::gemm::GemmShape::new(256, 2048, 512));
-    for mode in [SimMode::Stepped, SimMode::FastForward] {
-        let opts = FusedOptions {
-            mode,
-            ..FusedOptions::default()
+    let mut slow = sys.link.clone();
+    slow.link_gb_s /= 4.0;
+    slow.latency_ns *= 4.0;
+    let internode = LinkConfig {
+        link_gb_s: 25.0,
+        clock_ghz: sys.link.clock_ghz,
+        latency_ns: 5000.0,
+    };
+    // The slow fabrics run a smaller grid: their stepped references
+    // walk every cycle of long link waits.
+    let shape = t3_gpu::gemm::GemmShape::new;
+    let cases = [
+        ("ring", Topology::ring(16, &sys.link), shape(256, 2048, 512)),
+        (
+            "hierarchical",
+            Topology::hierarchical(2, 8, &sys.link, &slow),
+            shape(256, 1024, 128),
+        ),
+        (
+            "internode",
+            Topology::ring(16, &internode),
+            shape(256, 1024, 128),
+        ),
+    ];
+    let opts_in = |mode| FusedOptions {
+        mode,
+        ..FusedOptions::default()
+    };
+    for (name, topo, shape) in cases {
+        let grid = t3_gpu::gemm::GemmGrid::new(&sys.gpu, shape);
+        let run = |mode, threads| {
+            let (grid, opts) = (grid.clone(), opts_in(mode));
+            let r = match threads {
+                1 => run_multi_gpu_fused_rs_on(&sys, grid, &opts, &topo, None),
+                _ => run_multi_gpu_fused_rs_sharded(&sys, grid, &opts, &topo, threads),
+            };
+            format!("{r:?}")
         };
-        let seq = run_multi_gpu_fused_rs_on(&sys, grid.clone(), &opts, &topo, None);
-        for threads in [2, 16] {
-            let sharded = run_multi_gpu_fused_rs_sharded(&sys, grid.clone(), &opts, &topo, threads);
-            assert_eq!(
-                format!("{seq:?}"),
-                format!("{sharded:?}"),
-                "sharded engine diverged at {threads} threads ({} mode)",
-                mode.label()
-            );
+        let reference = run(SimMode::Stepped, 1);
+        for mode in [SimMode::Stepped, SimMode::FastForward] {
+            for threads in [1, 2, 3, 16] {
+                if (mode, threads) == (SimMode::Stepped, 1) {
+                    continue;
+                }
+                assert_eq!(
+                    reference,
+                    run(mode, threads),
+                    "{name}: {threads} shard(s) diverged from the stepped single shard ({} mode)",
+                    mode.label()
+                );
+            }
         }
     }
 }
