@@ -5,15 +5,20 @@
 //!
 //! `Configuration::run` memoises its engine runs per process, so after
 //! the warm-up it would time lookups. Each bench therefore calls the
-//! primitive engines a configuration decomposes into.
+//! primitive engines a configuration decomposes into. Those engines
+//! share each grid's LLC plan through a process memo, so after the
+//! warm-up they no longer walk the cache; `llc_plan/*` times that
+//! walk, the one per-line cost left, on the paper-scale matrix shapes.
 
 use std::hint::black_box;
+use t3_bench::experiments::main_study_models;
 use t3_bench::harness::{bench, DEFAULT_ITERS};
 use t3_core::configs::Configuration;
 use t3_core::engine::run_fused_gemm_rs;
 use t3_gpu::collective::{CollectiveKind, RingCollective};
 use t3_gpu::engine::{run_gemm_isolated, WritePolicy};
 use t3_gpu::gemm::{GemmGrid, GemmShape};
+use t3_gpu::llc_plan::LlcPlan;
 use t3_models::zoo;
 use t3_sim::config::SystemConfig;
 use t3_sim::Cycle;
@@ -66,7 +71,33 @@ fn bench_tp_scaling() {
     }
 }
 
+/// Builds, outside the memo, the LLC plan of every sublayer GEMM of
+/// the paper-scale Fig. 15/16/18 matrix, with cached stores (the
+/// isolated GEMM) and with bypassed ones (the fused GEMM-RS).
+fn bench_llc_plans() {
+    let sys = SystemConfig::paper_default();
+    let grids: Vec<GemmGrid> = main_study_models()
+        .iter()
+        .flat_map(|(model, tp)| {
+            t3_models::Sublayer::ALL
+                .map(|sub| GemmGrid::new(&sys.gpu, model.sublayer_gemm(sub, *tp)))
+        })
+        .collect();
+    for (mode, cached) in [("cached", true), ("bypassed", false)] {
+        bench(
+            &format!("llc_plan/paper_matrix/{mode}"),
+            DEFAULT_ITERS,
+            || {
+                for grid in &grids {
+                    black_box(LlcPlan::build(&sys.mem, grid.clone(), cached));
+                }
+            },
+        );
+    }
+}
+
 fn main() {
     bench_configurations();
     bench_tp_scaling();
+    bench_llc_plans();
 }

@@ -18,9 +18,9 @@
 use t3_gpu::collective::{CollectiveKind, RingCollective};
 use t3_gpu::engine::{route_stage_stores, GemmEngine, GemmEvent, WritePolicy};
 use t3_gpu::gemm::GemmGrid;
+use t3_gpu::llc_plan::LlcPlan;
 use t3_mem::arbiter::ComputeFirstPolicy;
 use t3_mem::controller::{MemoryController, StreamId};
-use t3_mem::llc::Llc;
 use t3_sim::clock::Clock;
 use t3_sim::config::SystemConfig;
 use t3_sim::stats::{TrafficClass, TrafficStats};
@@ -109,11 +109,11 @@ pub fn run_fused_ag_gemm(sys: &SystemConfig, grid: GemmGrid, opts: &AgFuseOption
     };
 
     let mut mc = MemoryController::new(&sys.mem, Box::new(ComputeFirstPolicy::new()));
-    let mut llc = Llc::new(&sys.mem);
-    let mut gemm = GemmEngine::new(&sys.gpu, grid.clone());
+    let mut gemm = GemmEngine::new(&sys.gpu, LlcPlan::shared(&sys.mem, &grid, true));
     let mut announced: u64 = 0; // received chunks whose writes are enqueued
     let mut scheduling_triggers = 0u64;
     let mut gemm_done = false;
+    let mut flushed = false;
     // Arrivals and stage gates are polled every cycle: never quiescent.
     let mut clock = Clock::new(SimMode::Stepped);
 
@@ -133,25 +133,18 @@ pub fn run_fused_ag_gemm(sys: &SystemConfig, grid: GemmGrid, opts: &AgFuseOption
             (c_lo..=c_hi).all(|c| available_at(c) <= now)
         };
         if can_run {
-            match gemm.step(now, &mut mc, &mut llc) {
+            match gemm.step(now, &mut mc) {
                 GemmEvent::Idle => {}
                 GemmEvent::Finished => gemm_done = true,
-                GemmEvent::StageStoresIssued {
-                    wg_start, wg_end, ..
-                } => {
+                GemmEvent::StageStoresIssued { stage, .. } => {
                     scheduling_triggers += 1;
-                    route_stage_stores(
-                        &grid,
-                        wg_start,
-                        wg_end,
-                        WritePolicy::CachedLocal,
-                        &mut mc,
-                        &mut llc,
-                    );
+                    route_stage_stores(gemm.plan(), stage, WritePolicy::CachedLocal, &mut mc);
                 }
             }
-            if gemm_done && mc.pending_bytes(StreamId::Compute) == 0 {
-                let flush = llc.flush_dirty();
+            // The kernel-boundary flush, once the stores have drained.
+            if gemm_done && !flushed && mc.pending_bytes(StreamId::Compute) == 0 {
+                flushed = true;
+                let flush = gemm.plan().flush_bytes();
                 if flush > 0 {
                     mc.enqueue(StreamId::Compute, TrafficClass::GemmWrite, flush, 1.0);
                 }

@@ -32,9 +32,9 @@ use crate::kernel::{count_nonempty_wfs, record_local_stores, split_at_chunks, Ch
 use crate::tracker::{Tracker, TrackerConfig};
 use t3_gpu::engine::{GemmEngine, GemmEvent};
 use t3_gpu::gemm::GemmGrid;
+use t3_gpu::llc_plan::LlcPlan;
 use t3_mem::arbiter::{ArbitrationPolicy, ComputeFirstPolicy, McaPolicy, RoundRobinPolicy};
 use t3_mem::controller::{MemoryController, StreamId};
-use t3_mem::llc::Llc;
 use t3_mem::nmc::ReductionSubstrate;
 use t3_net::dma::{DmaCommand, DmaEngine};
 use t3_net::link::Link;
@@ -243,8 +243,9 @@ pub fn run_fused_gemm_rs_instrumented(
     let mut incoming_announced: Vec<Bytes> = vec![0; n];
 
     let mut mc = MemoryController::new(&sys.mem, opts.policy.build(sys));
-    let mut llc = Llc::new(&sys.mem);
-    let mut gemm = GemmEngine::new(&sys.gpu, grid.clone());
+    // Every fused store bypasses the LLC (uncached NMC updates or
+    // remote stores).
+    let mut gemm = GemmEngine::new(&sys.gpu, LlcPlan::shared(&sys.mem, &grid, false));
     let mut dma = DmaEngine::new(&sys.link);
     let mut tracker = Tracker::new(TrackerConfig::paper(grid.wf_tile_elems()));
     let mut ts = opts.timeseries_bucket.map(TimeSeries::new);
@@ -270,6 +271,10 @@ pub fn run_fused_gemm_rs_instrumented(
     let mut first_stage_done = false;
     let mut gemm_done = false;
     let mut dma_transfers = 0u64;
+    // Set whenever a chunk counts a wavefront: only then can a DMA
+    // trigger become due. Starts set, so a chunk with no wavefronts
+    // fires on the first scan.
+    let mut scan_triggers = true;
     let mut clock = Clock::new(opts.mode);
 
     mc.reset_occupancy_window();
@@ -284,6 +289,7 @@ pub fn run_fused_gemm_rs_instrumented(
             &mut tracker,
             |e| {
                 chunks[e.position].triggered_wfs += 1;
+                scan_triggers = true;
                 if let Some(ins) = reborrow(&mut ins) {
                     if ins.tracer.as_ref().is_some_and(|t| t.fine()) {
                         ins.record(
@@ -307,7 +313,7 @@ pub fn run_fused_gemm_rs_instrumented(
         });
 
         // 3. Advance the producer GEMM.
-        match gemm.step(now, &mut mc, &mut llc) {
+        match gemm.step(now, &mut mc) {
             GemmEvent::Idle => {}
             GemmEvent::Finished => gemm_done = true,
             GemmEvent::StageStoresIssued {
@@ -377,6 +383,7 @@ pub fn run_fused_gemm_rs_instrumented(
                                 (w0, w1),
                                 updates_per_element,
                             );
+                            scan_triggers = true;
                         }
                         _ => unreachable!("ring-RS uses no other routes"),
                     }
@@ -423,25 +430,28 @@ pub fn run_fused_gemm_rs_instrumented(
             }
         }
 
-        // 5. Fire DMAs for completed steady-state chunks.
-        for (pos, chunk) in chunks.iter_mut().enumerate() {
-            if chunk.fire_dma().is_some() {
-                dma_transfers += 1;
-                if let Some(ins) = reborrow(&mut ins) {
-                    ins.record(
-                        now,
-                        Event::DmaTriggerFire {
-                            chunk: pos as u64,
-                            bytes: chunk.bytes,
-                        },
-                    );
-                    ins.add("dma.triggers_fired", 1);
+        // 5. Fire DMAs for completed steady-state chunks, in position
+        // order, on a step that counted a wavefront.
+        if std::mem::take(&mut scan_triggers) {
+            for (pos, chunk) in chunks.iter_mut().enumerate() {
+                if chunk.fire_dma().is_some() {
+                    dma_transfers += 1;
+                    if let Some(ins) = reborrow(&mut ins) {
+                        ins.record(
+                            now,
+                            Event::DmaTriggerFire {
+                                chunk: pos as u64,
+                                bytes: chunk.bytes,
+                            },
+                        );
+                        ins.add("dma.triggers_fired", 1);
+                    }
+                    dma.trigger(DmaCommand {
+                        id: pos as u64,
+                        bytes: chunk.bytes,
+                        read_class: TrafficClass::RsRead,
+                    });
                 }
-                dma.trigger(DmaCommand {
-                    id: pos as u64,
-                    bytes: chunk.bytes,
-                    read_class: TrafficClass::RsRead,
-                });
             }
         }
 
@@ -479,8 +489,8 @@ pub fn run_fused_gemm_rs_instrumented(
         ins.record(
             now,
             Event::LlcSample {
-                hits: llc.hits(),
-                misses: llc.misses(),
+                hits: gemm.plan().hits(),
+                misses: gemm.plan().misses(),
             },
         );
         if let Some(m) = ins.metrics.as_mut() {
@@ -488,8 +498,8 @@ pub fn run_fused_gemm_rs_instrumented(
             m.set("dma.transfers", dma_transfers);
             m.set("tracker.peak_entries", tracker.peak_entries() as u64);
             m.set("mc.stream_switches", mc.stream_switches());
-            m.set("llc.hits", llc.hits());
-            m.set("llc.misses", llc.misses());
+            m.set("llc.hits", gemm.plan().hits());
+            m.set("llc.misses", gemm.plan().misses());
             m.record_traffic(mc.stats());
         }
     }
@@ -576,8 +586,9 @@ fn run_fused_direct(
     let owned_bytes = chunk_bytes[0];
 
     let mut mc = MemoryController::new(&sys.mem, opts.policy.build(sys));
-    let mut llc = Llc::new(&sys.mem);
-    let mut gemm = GemmEngine::new(&sys.gpu, grid.clone());
+    // Every fused store bypasses the LLC (uncached NMC updates or
+    // remote stores).
+    let mut gemm = GemmEngine::new(&sys.gpu, LlcPlan::shared(&sys.mem, &grid, false));
     // One outbound link per peer on the fully-connected topology.
     let mut links: Vec<Link> = (0..n - 1).map(|_| Link::new(&sys.link)).collect();
     let mut tracker = Tracker::new(TrackerConfig::paper(grid.wf_tile_elems()));
@@ -619,7 +630,7 @@ fn run_fused_direct(
             mc.enqueue(StreamId::Comm, incoming_class, p.bytes, update_cost);
         });
 
-        match gemm.step(now, &mut mc, &mut llc) {
+        match gemm.step(now, &mut mc) {
             GemmEvent::Idle => {}
             GemmEvent::Finished => gemm_done = true,
             GemmEvent::StageStoresIssued {

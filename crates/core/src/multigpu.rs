@@ -5,9 +5,11 @@
 //! tensor-parallel execution to simulate one GPU and mirror its
 //! outgoing traffic as the incoming stream (Section 5.1.1). This
 //! module drops that assumption: all `N` GPUs run their own GEMM
-//! engine, memory controller, LLC, Tracker and DMA engine, and every
-//! chunk travels over a [`t3_topo::Fabric`] from its producer to its
+//! engine, memory controller, Tracker and DMA engine, and every chunk
+//! travels over a [`t3_topo::Fabric`] from its producer to its
 //! consumer — contending per hop with everything else on the wire.
+//! What the LLC does to the GEMM does not depend on time, so the
+//! devices share one [`LlcPlan`] instead of each walking a cache.
 //!
 //! Two schedules, one source ([`t3_topo::Schedule`]):
 //!
@@ -45,6 +47,10 @@
 //!   own `next_event` (GEMM stage boundaries, DMA polling) has come
 //!   ([`Clock::due`]; stepped mode steps every unfinished device every
 //!   cycle). A finished device is never stepped again.
+//! * A stepped device scans its chunks for DMA fires only when the step
+//!   counted a wavefront (and on its first step, where chunks with no
+//!   wavefronts fire). A fired empty chunk has nothing to read or
+//!   send: it counts as a transfer and queues nothing.
 //! * A skipped device replays its idle gap's side effects (tracer
 //!   samples, arbiter wait counters, credit regeneration) in one
 //!   `MemoryController::skip_idle` call just before it next steps, and
@@ -64,6 +70,7 @@
 
 use std::collections::VecDeque;
 use std::panic::resume_unwind;
+use std::sync::Arc;
 use std::thread;
 
 use crate::addrmap::{ChunkRoute, OutputConfig};
@@ -72,8 +79,8 @@ use crate::kernel::{record_local_stores, split_at_chunks, ChunkState, Feed};
 use crate::tracker::{Tracker, TrackerConfig};
 use t3_gpu::engine::{GemmEngine, GemmEvent};
 use t3_gpu::gemm::GemmGrid;
+use t3_gpu::llc_plan::LlcPlan;
 use t3_mem::controller::{MemoryController, StreamId};
-use t3_mem::llc::Llc;
 use t3_net::ring::Ring;
 use t3_sim::clock::Clock;
 use t3_sim::config::SystemConfig;
@@ -119,7 +126,6 @@ impl MultiGpuResult {
 /// One simulated GPU.
 struct Gpu {
     mc: MemoryController,
-    llc: Llc,
     gemm: GemmEngine,
     tracker: Tracker,
     /// The device's routes; maps an arriving chunk id to its position.
@@ -137,6 +143,9 @@ struct Gpu {
     dma_queue: VecDeque<(usize, usize)>,
     first_stage_done: bool,
     gemm_done: bool,
+    /// Set whenever a chunk counts a wavefront: only then can a DMA
+    /// trigger become due.
+    scan_triggers: bool,
     finished_at: Option<Cycle>,
     dma_transfers: u64,
     /// The next event as predicted after the device's last step.
@@ -287,6 +296,8 @@ fn build_run(
     let ring = Ring::new(n);
     let sched = Schedule::reduce_scatter(topo);
     let fabric = Fabric::new(topo);
+    // Every fused store bypasses the LLC, so all devices share one plan.
+    let plan = LlcPlan::shared(&sys.mem, grid, false);
 
     let gpus: Vec<Gpu> = (0..n)
         .map(|d| {
@@ -326,8 +337,7 @@ fn build_run(
             }
             Gpu {
                 mc: MemoryController::new(&sys.mem, opts.policy.build(sys)),
-                llc: Llc::new(&sys.mem),
-                gemm: GemmEngine::new(&sys.gpu, grid.clone()),
+                gemm: GemmEngine::new(&sys.gpu, Arc::clone(&plan)),
                 tracker: Tracker::new(TrackerConfig::paper(grid.wf_tile_elems())),
                 config,
                 chunks,
@@ -337,6 +347,8 @@ fn build_run(
                 dma_queue: VecDeque::new(),
                 first_stage_done: false,
                 gemm_done: false,
+                // Chunks with no wavefronts fire on the first scan.
+                scan_triggers: true,
                 finished_at: None,
                 dma_transfers: 0,
                 // Every device steps at cycle 0, where its GEMM engine
@@ -395,15 +407,18 @@ fn step_device(
     gpu.mc.step_traced(now, None, reborrow(&mut ins));
 
     // Attribute serviced incoming updates.
-    let chunks = &mut gpu.chunks;
+    let (chunks, scan) = (&mut gpu.chunks, &mut gpu.scan_triggers);
     gpu.feed.attribute(
         gpu.mc.stats().bytes(TrafficClass::RsUpdate),
         &mut gpu.tracker,
-        |e| chunks[e.position].triggered_wfs += 1,
+        |e| {
+            chunks[e.position].triggered_wfs += 1;
+            *scan = true;
+        },
     );
 
     // GEMM progress.
-    match gpu.gemm.step(now, &mut gpu.mc, &mut gpu.llc) {
+    match gpu.gemm.step(now, &mut gpu.mc) {
         GemmEvent::Idle => {}
         GemmEvent::Finished => gpu.gemm_done = true,
         GemmEvent::StageStoresIssued {
@@ -465,6 +480,7 @@ fn step_device(
                             global,
                             updates_per_element,
                         );
+                        gpu.scan_triggers = true;
                     }
                     _ => unreachable!("fused RS uses no other routes"),
                 }
@@ -491,9 +507,11 @@ fn step_device(
             gpu.dma_reading = Some((pos, dest, target));
         }
     }
-    // Fire DMAs for completed steady-state chunks.
-    for (pos, c) in gpu.chunks.iter_mut().enumerate() {
-        if let Some(dest) = c.fire_dma() {
+    // Fire DMAs for completed steady-state chunks, in position order,
+    // on a step that counted a wavefront.
+    if std::mem::take(&mut gpu.scan_triggers) {
+        for (pos, c) in gpu.chunks.iter_mut().enumerate() {
+            let Some(dest) = c.fire_dma() else { continue };
             if let Some(ins) = reborrow(&mut ins) {
                 ins.record(
                     now,
@@ -504,7 +522,14 @@ fn step_device(
                 );
                 ins.add("dma.triggers_fired", 1);
             }
-            gpu.dma_queue.push_back((pos, dest));
+            // An empty chunk (fewer WGs than devices) has nothing to
+            // read or send, as `DmaEngine::trigger` treats a zero-byte
+            // command.
+            if c.bytes == 0 {
+                gpu.dma_transfers += 1;
+            } else {
+                gpu.dma_queue.push_back((pos, dest));
+            }
         }
     }
 
@@ -520,15 +545,14 @@ fn step_device(
 /// can change its observable state, assuming nothing new arrives from
 /// the fabric. `None` when the device is inert until external input.
 ///
-/// A pending DMA (queued or reading) pins the very next cycle: the
-/// engine polls it every cycle and an un-serviced source read keeps
-/// the memory controller busy anyway.
+/// A busy memory controller or a pending DMA (queued or reading) pins
+/// the very next cycle: the controller services every cycle, and the
+/// engine polls the DMA every cycle.
 fn device_next_event(gpu: &Gpu, now: Cycle) -> Option<Cycle> {
-    if gpu.dma_reading.is_some() || !gpu.dma_queue.is_empty() {
+    if !gpu.mc.is_idle() || gpu.dma_reading.is_some() || !gpu.dma_queue.is_empty() {
         return Some(now + 1);
     }
-    let events = [gpu.mc.next_event(now), gpu.gemm.next_event(now, &gpu.mc)];
-    events.into_iter().flatten().min()
+    gpu.gemm.next_event(now, &gpu.mc)
 }
 
 /// Simulates one shard, whose devices start at global index `first`,
@@ -731,8 +755,8 @@ fn run_windows(
         ins.record(
             result.cycles,
             Event::LlcSample {
-                hits: gpu0.llc.hits(),
-                misses: gpu0.llc.misses(),
+                hits: gpu0.gemm.plan().hits(),
+                misses: gpu0.gemm.plan().misses(),
             },
         );
         if let Some(m) = ins.metrics.as_mut() {
@@ -740,8 +764,8 @@ fn run_windows(
             m.set("run.skew", result.skew);
             m.set("dma.transfers", result.dma_transfers);
             m.set("tracker.peak_entries", gpu0.tracker.peak_entries() as u64);
-            m.set("llc.hits", gpu0.llc.hits());
-            m.set("llc.misses", gpu0.llc.misses());
+            m.set("llc.hits", gpu0.gemm.plan().hits());
+            m.set("llc.misses", gpu0.gemm.plan().misses());
             m.record_traffic(gpu0.mc.stats());
         }
     }

@@ -172,8 +172,8 @@ pub fn coarse_overlap_study(
     policy: crate::engine::PolicyChoice,
 ) -> CoarseOverlapRow {
     use t3_gpu::engine::{route_stage_stores, GemmEngine, GemmEvent, WritePolicy};
+    use t3_gpu::llc_plan::LlcPlan;
     use t3_mem::controller::{MemoryController, StreamId};
-    use t3_mem::llc::Llc;
     use t3_sim::stats::TrafficClass;
 
     let grid = GemmGrid::new(&sys.gpu, *shape);
@@ -182,8 +182,7 @@ pub fn coarse_overlap_study(
     // Contended run: the communication stream receives its traffic in
     // chunk-sized bursts spread over the expected GEMM duration.
     let mut mc = MemoryController::new(&sys.mem, policy.build(sys));
-    let mut llc = Llc::new(&sys.mem);
-    let mut gemm = GemmEngine::new(&sys.gpu, grid.clone());
+    let mut gemm = GemmEngine::new(&sys.gpu, LlcPlan::shared(&sys.mem, &grid, true));
     let bursts = 16u64.min(comm_bytes / sys.mem.txn_bytes).max(1);
     let burst_bytes = comm_bytes / bursts;
     let burst_interval = (isolated.cycles / (bursts + 1)).max(1);
@@ -202,23 +201,16 @@ pub fn coarse_overlap_study(
             mc.enqueue(StreamId::Comm, class, burst_bytes, 1.0);
             issued += 1;
         }
-        match gemm.step(now, &mut mc, &mut llc) {
+        match gemm.step(now, &mut mc) {
             GemmEvent::Idle => {}
-            GemmEvent::StageStoresIssued {
-                wg_start, wg_end, ..
-            } => route_stage_stores(
-                &grid,
-                wg_start,
-                wg_end,
-                WritePolicy::CachedLocal,
-                &mut mc,
-                &mut llc,
-            ),
+            GemmEvent::StageStoresIssued { stage, .. } => {
+                route_stage_stores(gemm.plan(), stage, WritePolicy::CachedLocal, &mut mc)
+            }
             GemmEvent::Finished => {
                 // Match run_gemm_isolated's accounting: flush dirty
                 // output lines and drain the compute stream (the comm
                 // backlog is not the GEMM's problem).
-                let flush = llc.flush_dirty();
+                let flush = gemm.plan().flush_bytes();
                 mc.enqueue(StreamId::Compute, TrafficClass::GemmWrite, flush, 1.0);
                 while mc.pending_bytes(StreamId::Compute) > 0 {
                     clock.advance(false, || None);

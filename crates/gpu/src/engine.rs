@@ -2,9 +2,10 @@
 //!
 //! A GEMM runs as a sequence of stages (Section 2.5). Each stage:
 //!
-//! 1. **Read phase** — the stage's A tile-rows and B tile-columns are
-//!    filtered through the LLC; misses become compute-stream DRAM reads
-//!    and the stage waits until they are serviced.
+//! 1. **Read phase** — the stage's A tile-rows and B tile-columns miss
+//!    the LLC by the bytes the grid's [`LlcPlan`] recorded for the
+//!    stage; the misses become compute-stream DRAM reads and the stage
+//!    waits until they are serviced.
 //! 2. **Compute phase** — a latency set by the stage's largest WG tile
 //!    and the GPU's sustained GEMM throughput.
 //! 3. **Write phase** — the stage's output stores are *emitted to the
@@ -15,14 +16,20 @@
 //!    seam T3 exploits without touching the GEMM kernel itself
 //!    (Section 4.4).
 //!
+//! The LLC sees only these two access points, in stage order, so no
+//! engine loop owns a cache: a kernel's hits, misses and write-backs
+//! are fixed by its plan (see [`crate::llc_plan`]).
+//!
 //! Because reads, writes and later stages all share one in-order
 //! compute stream at the memory controller, the engine naturally
 //! produces the read-phase / bursty-write-phase DRAM pattern of
 //! Figure 17(a).
 
+use std::sync::Arc;
+
 use crate::gemm::GemmGrid;
+use crate::llc_plan::LlcPlan;
 use t3_mem::controller::{MemoryController, StreamId};
-use t3_mem::llc::{AccessKind, Llc};
 use t3_sim::clock::Clock;
 use t3_sim::config::GpuConfig;
 use t3_sim::stats::TrafficClass;
@@ -84,7 +91,7 @@ enum Phase {
 /// [`GemmEngine::step`] once per cycle.
 #[derive(Debug, Clone)]
 pub struct GemmEngine {
-    grid: GemmGrid,
+    plan: Arc<LlcPlan>,
     stage_compute_cycles: Vec<Cycle>,
     stage: u64,
     phase: Phase,
@@ -96,37 +103,38 @@ pub struct GemmEngine {
 }
 
 impl GemmEngine {
-    /// Creates an engine for `grid` on the GPU described by `cfg`.
-    pub fn new(cfg: &GpuConfig, grid: GemmGrid) -> Self {
+    /// Creates an engine for `plan`'s grid on the GPU described by
+    /// `cfg`; its stages miss the LLC as `plan` recorded.
+    pub fn new(cfg: &GpuConfig, plan: Arc<LlcPlan>) -> Self {
+        let grid = plan.grid();
         let per_cu = cfg.flops_per_cu_cycle * cfg.gemm_efficiency;
         let stage_compute_cycles = (0..grid.num_stages())
             // t3-lint: allow(float-cycles) -- per-stage roofline computed once at construction; ceil per stage, never re-accumulated
             .map(|s| (grid.stage_wg_flops(s) / per_cu).ceil() as Cycle)
             .collect();
         GemmEngine {
-            grid,
+            read_factor: grid.read_overhead_factor(),
+            plan,
             stage_compute_cycles,
             stage: 0,
             phase: Phase::Launch {
                 until: cfg.kernel_launch_cycles,
             },
             launched: false,
-            read_factor: 1.0, // set from grid below
             prefetch: cfg.gemm_prefetch,
             total_read_miss_bytes: 0,
             stage_started: 0,
         }
-        .init_read_factor()
-    }
-
-    fn init_read_factor(mut self) -> Self {
-        self.read_factor = self.grid.read_overhead_factor();
-        self
     }
 
     /// The grid being executed.
     pub fn grid(&self) -> &GemmGrid {
-        &self.grid
+        self.plan.grid()
+    }
+
+    /// The LLC plan the engine's stages follow.
+    pub fn plan(&self) -> &LlcPlan {
+        &self.plan
     }
 
     /// Stage currently executing (or `num_stages()` when done).
@@ -153,10 +161,11 @@ impl GemmEngine {
 
     fn finish_stage(&mut self, _now: Cycle) -> GemmEvent {
         let stage = self.stage;
-        let (wg_start, wg_end) = self.grid.stage_wgs(stage);
-        let bytes = self.grid.stage_output_bytes(stage);
+        let grid = self.plan.grid();
+        let (wg_start, wg_end) = grid.stage_wgs(stage);
+        let bytes = grid.stage_output_bytes(stage);
         self.stage += 1;
-        self.phase = if self.stage == self.grid.num_stages() {
+        self.phase = if self.stage == grid.num_stages() {
             Phase::Done { reported: false }
         } else {
             Phase::StartStage
@@ -201,10 +210,10 @@ impl GemmEngine {
         }
     }
 
-    /// Advances one cycle at time `now`. Reads are issued through
-    /// `llc` into `mc`'s compute stream. See [`GemmEvent`] for the
-    /// caller's obligations.
-    pub fn step(&mut self, now: Cycle, mc: &mut MemoryController, llc: &mut Llc) -> GemmEvent {
+    /// Advances one cycle at time `now`. A starting stage issues its
+    /// planned LLC misses into `mc`'s compute stream. See
+    /// [`GemmEvent`] for the caller's obligations.
+    pub fn step(&mut self, now: Cycle, mc: &mut MemoryController) -> GemmEvent {
         // On the first observed cycle, re-anchor the launch delay to
         // `now` (engines may be constructed before their start time).
         if !self.launched {
@@ -222,10 +231,7 @@ impl GemmEngine {
             }
             Phase::StartStage => {
                 self.stage_started = now;
-                let mut miss: Bytes = 0;
-                for (addr, bytes) in self.grid.stage_read_regions(self.stage) {
-                    miss += llc.access_range(addr, bytes, AccessKind::Read).dram_bytes;
-                }
+                let miss = self.plan.stage_read_miss_bytes(self.stage);
                 let miss = (miss as f64 * self.read_factor) as Bytes; // t3-lint: allow(float-cycles) -- ablation knob defaults to 1.0 (identity); truncation is the documented semantic
                 self.total_read_miss_bytes += miss;
                 let compute_until = now + self.stage_compute_cycles[self.stage as usize];
@@ -303,8 +309,9 @@ pub struct IsolatedGemmRun {
 }
 
 /// Runs one GEMM in isolation against a fresh memory controller and
-/// LLC, applying `write_policy` to its stores. Used for the paper's
-/// isolated-execution baselines (Figures 6, 15, 16's ideals).
+/// an initially empty LLC, applying `write_policy` to its stores. Used
+/// for the paper's isolated-execution baselines (Figures 6, 15, 16's
+/// ideals).
 pub fn run_gemm_isolated(
     sys: &t3_sim::config::SystemConfig,
     grid: GemmGrid,
@@ -352,31 +359,22 @@ pub fn run_gemm_isolated_traced_in_mode(
         &sys.mem,
         Box::new(t3_mem::arbiter::ComputeFirstPolicy::new()),
     );
-    let mut llc = Llc::new(&sys.mem);
-    let mut engine = GemmEngine::new(&sys.gpu, grid);
+    let cached = write_policy == WritePolicy::CachedLocal;
+    let mut engine = GemmEngine::new(&sys.gpu, LlcPlan::shared(&sys.mem, &grid, cached));
     let mut ts = bucket.map(t3_sim::timeseries::TimeSeries::new);
     let mut clock = Clock::new(mode);
     let mut finished = false;
     while !finished || !mc.is_idle() {
         let now = clock.now();
         mc.step(now, ts.as_mut());
-        match engine.step(now, &mut mc, &mut llc) {
+        match engine.step(now, &mut mc) {
             GemmEvent::Idle => {}
-            GemmEvent::StageStoresIssued {
-                wg_start, wg_end, ..
-            } => {
-                route_stage_stores(
-                    engine.grid(),
-                    wg_start,
-                    wg_end,
-                    write_policy,
-                    &mut mc,
-                    &mut llc,
-                );
+            GemmEvent::StageStoresIssued { stage, .. } => {
+                route_stage_stores(engine.plan(), stage, write_policy, &mut mc);
             }
             GemmEvent::Finished => {
-                if let WritePolicy::CachedLocal = write_policy {
-                    let flush = llc.flush_dirty();
+                if cached {
+                    let flush = engine.plan().flush_bytes();
                     mc.enqueue(StreamId::Compute, TrafficClass::GemmWrite, flush, 1.0);
                 }
                 finished = true;
@@ -395,22 +393,27 @@ pub fn run_gemm_isolated_traced_in_mode(
     )
 }
 
-/// Routes one stage's stores according to `policy`. Shared by the
-/// isolated runner above and the sequential configuration in `t3-core`.
+/// Routes `stage`'s stores according to `policy`: cached stores
+/// drain the write-backs `plan` recorded for the stage, bypassed ones
+/// write the stage's whole output. Shared by the isolated runner above
+/// and the loops in `t3-core` that run a plain GEMM. `plan` must cache
+/// stores exactly when `policy` is [`WritePolicy::CachedLocal`].
 pub fn route_stage_stores(
-    grid: &GemmGrid,
-    wg_start: u64,
-    wg_end: u64,
+    plan: &LlcPlan,
+    stage: u64,
     policy: WritePolicy,
     mc: &mut MemoryController,
-    llc: &mut Llc,
 ) {
-    let bytes = grid.wg_range_output_bytes(wg_start, wg_end);
+    debug_assert_eq!(
+        plan.cached_stores(),
+        policy == WritePolicy::CachedLocal,
+        "the plan's store mode must match the write policy"
+    );
+    let (wg_start, wg_end) = plan.grid().stage_wgs(stage);
+    let bytes = plan.grid().wg_range_output_bytes(wg_start, wg_end);
     match policy {
         WritePolicy::CachedLocal => {
-            let (addr, _) = grid.wg_output_region(wg_start);
-            llc.access_range(addr, bytes, AccessKind::Write);
-            let wb = llc.take_writeback_bytes();
+            let wb = plan.stage_writeback_bytes(stage);
             mc.enqueue(StreamId::Compute, TrafficClass::GemmWrite, wb, 1.0);
         }
         WritePolicy::BypassLocal => {
@@ -489,7 +492,7 @@ mod tests {
         let s = sys();
         // Very large K: heavily compute bound.
         let grid = grid_of(2048, 2048, 8192);
-        let engine = GemmEngine::new(&s.gpu, grid.clone());
+        let engine = GemmEngine::new(&s.gpu, LlcPlan::shared(&s.mem, &grid, true));
         let ideal = engine.compute_only_cycles(&s.gpu);
         let run = run_gemm_isolated(&s, grid, WritePolicy::CachedLocal);
         assert!(
@@ -527,13 +530,12 @@ mod tests {
         let stages = grid.num_stages();
         let mut mc =
             MemoryController::new(&s.mem, Box::new(t3_mem::arbiter::ComputeFirstPolicy::new()));
-        let mut llc = Llc::new(&s.mem);
-        let mut engine = GemmEngine::new(&s.gpu, grid);
+        let mut engine = GemmEngine::new(&s.gpu, LlcPlan::shared(&s.mem, &grid, false));
         let mut seen = Vec::new();
         let mut now = 0;
         loop {
             mc.step(now, None);
-            match engine.step(now, &mut mc, &mut llc) {
+            match engine.step(now, &mut mc) {
                 GemmEvent::StageStoresIssued { stage, .. } => seen.push(stage),
                 GemmEvent::Finished => break,
                 GemmEvent::Idle => {}
@@ -551,12 +553,11 @@ mod tests {
         let grid = grid_of(256, 256, 64);
         let mut mc =
             MemoryController::new(&s.mem, Box::new(t3_mem::arbiter::ComputeFirstPolicy::new()));
-        let mut llc = Llc::new(&s.mem);
-        let mut engine = GemmEngine::new(&s.gpu, grid);
+        let mut engine = GemmEngine::new(&s.gpu, LlcPlan::shared(&s.mem, &grid, false));
         let mut finishes = 0;
         for now in 0..200_000 {
             mc.step(now, None);
-            if engine.step(now, &mut mc, &mut llc) == GemmEvent::Finished {
+            if engine.step(now, &mut mc) == GemmEvent::Finished {
                 finishes += 1;
             }
             if finishes > 0 && mc.is_idle() && now > 100_000 {
@@ -603,8 +604,7 @@ mod tests {
         let grid = grid_of(2048, 2048, 256);
         let mut mc =
             MemoryController::new(&s.mem, Box::new(t3_mem::arbiter::ComputeFirstPolicy::new()));
-        let mut llc = Llc::new(&s.mem);
-        let mut engine = GemmEngine::new(&s.gpu, grid);
+        let mut engine = GemmEngine::new(&s.gpu, LlcPlan::shared(&s.mem, &grid, false));
         // Step the run to completion, recording every cycle at which
         // the engine changed phase or emitted an event, plus the
         // prediction made right after each step.
@@ -614,19 +614,9 @@ mod tests {
         loop {
             mc.step(now, None);
             let before = (engine.phase, engine.stage);
-            let ev = engine.step(now, &mut mc, &mut llc);
-            if let GemmEvent::StageStoresIssued {
-                wg_start, wg_end, ..
-            } = ev
-            {
-                route_stage_stores(
-                    engine.grid(),
-                    wg_start,
-                    wg_end,
-                    WritePolicy::BypassLocal,
-                    &mut mc,
-                    &mut llc,
-                );
+            let ev = engine.step(now, &mut mc);
+            if let GemmEvent::StageStoresIssued { stage, .. } = ev {
+                route_stage_stores(engine.plan(), stage, WritePolicy::BypassLocal, &mut mc);
             }
             if (engine.phase, engine.stage) != before || ev != GemmEvent::Idle {
                 changes.push(now);

@@ -8,6 +8,10 @@
 //! it is simulated per line with true LRU or (the paper default)
 //! random replacement, and writes can be sent around the cache
 //! ("uncached" allocations, Section 4.3).
+//!
+//! A GEMM's accesses do not depend on time, so no engine loop holds an
+//! `Llc`: `t3_gpu::llc_plan` walks each kernel through one once per
+//! process and the engines read the per-stage results.
 
 use t3_sim::config::{LlcReplacement, MemConfig};
 use t3_sim::Bytes;
@@ -32,14 +36,6 @@ pub struct FilterResult {
     pub hit_bytes: Bytes,
 }
 
-impl FilterResult {
-    /// Merges another filter result into this one.
-    pub fn merge(&mut self, other: FilterResult) {
-        self.dram_bytes += other.dram_bytes;
-        self.hit_bytes += other.hit_bytes;
-    }
-}
-
 /// A set-associative, write-back, write-allocate LLC with LRU or
 /// random replacement, simulated at line granularity.
 #[derive(Debug, Clone)]
@@ -49,9 +45,9 @@ pub struct Llc {
     ways: usize,
     /// `lines[set * ways + way]`: the way's tag shifted left by one,
     /// with its dirty bit in bit 0 (a tag fits in 63 bits for any line
-    /// of 2 bytes or more). Ways fill in index order and
-    /// [`Llc::flush`] empties every set at once, so a set's valid ways
-    /// are always its first `filled[set]`.
+    /// of 2 bytes or more). Ways fill in index order, so a set's valid
+    /// ways are always its first `filled[set]` (the test-only `flush`
+    /// empties every set at once).
     lines: Vec<u64>,
     /// Valid ways per set.
     filled: Vec<usize>,
@@ -97,58 +93,19 @@ impl Llc {
         }
     }
 
-    /// Line size in bytes.
-    pub fn line_bytes(&self) -> Bytes {
-        self.line_bytes
-    }
-
-    /// Total hits since construction or [`Llc::reset_counters`].
+    /// Total line hits since construction.
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
-    /// Total misses since construction or [`Llc::reset_counters`].
+    /// Total line misses since construction.
     pub fn misses(&self) -> u64 {
         self.misses
     }
 
-    /// Dirty lines evicted since construction or [`Llc::reset_counters`].
-    pub fn writebacks(&self) -> u64 {
-        self.writebacks
-    }
-
-    /// Hit fraction of all accesses since construction or
-    /// [`Llc::reset_counters`] (0.0 when nothing was accessed).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Clears hit/miss/writeback counters (cache contents persist).
-    pub fn reset_counters(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-        self.writebacks = 0;
-    }
-
-    /// Invalidates the entire cache (e.g. between independent runs).
-    pub fn flush(&mut self) {
-        self.filled.fill(0);
-    }
-
-    /// Accesses one line-aligned address. Returns `true` on hit.
-    /// A miss allocates the line (possibly writing back a dirty victim,
-    /// counted in [`Llc::writebacks`]).
-    pub fn access(&mut self, addr: u64, kind: AccessKind) -> bool {
-        let line = addr / self.line_bytes;
-        self.access_line((line % self.sets) as usize, line / self.sets, kind)
-    }
-
-    /// [`Llc::access`] of the line with `tag` in `set`.
+    /// Accesses the line with `tag` in `set`. Returns `true` on hit. A
+    /// miss allocates the line, possibly evicting a dirty victim (a
+    /// write-back, drained by [`Llc::take_writeback_bytes`]).
     fn access_line(&mut self, set: usize, tag: u64, kind: AccessKind) -> bool {
         let base = set * self.ways;
         let filled = self.filled[set];
@@ -263,9 +220,37 @@ impl Llc {
         self.writebacks = 0;
         bytes
     }
+}
 
-    /// Number of currently valid lines (for occupancy assertions).
-    pub fn valid_lines(&self) -> usize {
+/// Test-only probes and resets.
+#[cfg(test)]
+impl Llc {
+    fn line_bytes(&self) -> Bytes {
+        self.line_bytes
+    }
+
+    fn writebacks(&self) -> u64 {
+        self.writebacks
+    }
+
+    fn reset_counters(&mut self) {
+        self.hits = 0;
+        self.misses = 0;
+        self.writebacks = 0;
+    }
+
+    /// Invalidates the entire cache.
+    fn flush(&mut self) {
+        self.filled.fill(0);
+    }
+
+    /// Accesses one line-aligned address. Returns `true` on hit.
+    fn access(&mut self, addr: u64, kind: AccessKind) -> bool {
+        let line = addr / self.line_bytes;
+        self.access_line((line % self.sets) as usize, line / self.sets, kind)
+    }
+
+    fn valid_lines(&self) -> usize {
         self.filled.iter().sum()
     }
 }

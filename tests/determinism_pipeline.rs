@@ -228,6 +228,88 @@ fn sharded_engine_matches_sequential_at_every_width() {
 }
 
 #[test]
+fn explicit_engine_runs_a_grid_with_fewer_workgroups_than_gpus() {
+    use t3_core::engine::{run_fused_gemm_rs_instrumented, FusedOptions};
+    use t3_core::multigpu::{run_multi_gpu_fused_rs_on, run_multi_gpu_fused_rs_sharded};
+    use t3_gpu::gemm::{GemmGrid, GemmShape};
+    use t3_topo::Topology;
+    use t3_trace::{Event, Instruments};
+
+    // 256x256x64 is 4 WGs, so 12 of the 16 chunks are empty. On the
+    // ring their Tracker-triggered DMAs fire with nothing to read or
+    // send; every fabric, mode and width must agree byte for byte.
+    let sys = t3_sim::config::SystemConfig::paper_default().with_num_gpus(16);
+    let grid = GemmGrid::new(&sys.gpu, GemmShape::new(256, 256, 64));
+    assert_eq!(grid.num_wgs(), 4);
+    let opts_in = |mode| FusedOptions {
+        mode,
+        ..FusedOptions::default()
+    };
+    // An empty chunk has no wavefront to wait for, so its DMA fires on
+    // the first cycle. Device 0 holds chunk p at position p in both
+    // engines: chunks 4..=14 are its empty DMA chunks.
+    let empty_fire_cycles = |ins: &Instruments| -> Vec<u64> {
+        let records = ins.tracer.as_ref().expect("tracer on").records();
+        let fires = records.iter().filter_map(|r| match r.event {
+            Event::DmaTriggerFire { bytes: 0, .. } => Some(r.cycle),
+            _ => None,
+        });
+        fires.collect()
+    };
+    let mut ins = Instruments::full();
+    let mirrored = run_fused_gemm_rs_instrumented(
+        &sys,
+        grid.clone(),
+        &FusedOptions::default(),
+        Some(&mut ins),
+    );
+    assert_eq!((mirrored.cycles, mirrored.dma_transfers), (8_831, 14));
+    assert_eq!(empty_fire_cycles(&ins), vec![0; 11], "mirrored");
+    let mut ins = Instruments::full();
+    let ring = Topology::ring(16, &sys.link);
+    let opts = FusedOptions::default();
+    run_multi_gpu_fused_rs_on(&sys, grid.clone(), &opts, &ring, Some(&mut ins));
+    assert_eq!(empty_fire_cycles(&ins), vec![0; 11], "explicit device 0");
+
+    let mut slow = sys.link.clone();
+    slow.link_gb_s /= 4.0;
+    slow.latency_ns *= 4.0;
+    let cases = [
+        ("ring", Topology::ring(16, &sys.link)),
+        ("switch", Topology::switch(16, &sys.link)),
+        (
+            "hierarchical",
+            Topology::hierarchical(2, 8, &sys.link, &slow),
+        ),
+    ];
+    for (name, topo) in cases {
+        let run = |mode, threads| {
+            let (grid, opts) = (grid.clone(), opts_in(mode));
+            match threads {
+                1 => run_multi_gpu_fused_rs_on(&sys, grid, &opts, &topo, None),
+                _ => run_multi_gpu_fused_rs_sharded(&sys, grid, &opts, &topo, threads),
+            }
+        };
+        let reference = run(SimMode::Stepped, 1);
+        if name == "ring" {
+            // Every device fires all 14 of its DMAs, most of them empty.
+            assert_eq!((reference.cycles, reference.dma_transfers), (21_044, 224));
+        }
+        let reference = format!("{reference:?}");
+        for mode in [SimMode::Stepped, SimMode::FastForward] {
+            for threads in [1, 2, 16] {
+                assert_eq!(
+                    reference,
+                    format!("{:?}", run(mode, threads)),
+                    "{name}: {threads} shard(s) diverged from the stepped single shard ({} mode)",
+                    mode.label()
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn serving_trace_and_request_log_are_bit_identical_across_runs() {
     let (makespan_a, trace_a, log_a) = serving_artifacts();
     let (makespan_b, trace_b, log_b) = serving_artifacts();
