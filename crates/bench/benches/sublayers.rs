@@ -9,6 +9,8 @@
 //! share each grid's LLC plan through a process memo, so after the
 //! warm-up they no longer walk the cache; `llc_plan/*` times that
 //! walk, the one per-line cost left, on the paper-scale matrix shapes.
+//! `mc/busy_cycle/*` times the memory controller on its own: a window
+//! of saturated cycles per policy, with one stream and with two.
 
 use std::hint::black_box;
 use t3_bench::experiments::main_study_models;
@@ -19,8 +21,11 @@ use t3_gpu::collective::{CollectiveKind, RingCollective};
 use t3_gpu::engine::{run_gemm_isolated, WritePolicy};
 use t3_gpu::gemm::{GemmGrid, GemmShape};
 use t3_gpu::llc_plan::LlcPlan;
+use t3_mem::arbiter::{ArbitrationPolicy, ComputeFirstPolicy, McaPolicy, RoundRobinPolicy};
+use t3_mem::controller::{MemoryController, StreamId};
 use t3_models::zoo;
 use t3_sim::config::SystemConfig;
+use t3_sim::stats::TrafficClass;
 use t3_sim::Cycle;
 
 fn sublayer_shape() -> GemmShape {
@@ -96,7 +101,44 @@ fn bench_llc_plans() {
     }
 }
 
+/// Busy controller cycles per `mc/busy_cycle/*` iteration.
+const BUSY_CYCLES: Cycle = 100_000;
+
+/// Steps a controller through [`BUSY_CYCLES`] saturated cycles per
+/// iteration, under each policy, with only the compute stream loaded
+/// and with both streams loaded (the comm stream with NMC updates).
+/// An iteration's time over [`BUSY_CYCLES`] is the host cost of one
+/// busy cycle.
+fn bench_busy_controller() {
+    let cfg = SystemConfig::paper_default().mem;
+    // More bytes per stream than the window can service (~715 B/cycle).
+    let bytes = BUSY_CYCLES * 1024;
+    let policies: [(&str, ArbitrationPolicy); 3] = [
+        ("compute_first", ComputeFirstPolicy::new().into()),
+        ("round_robin", RoundRobinPolicy::new().into()),
+        ("mca", McaPolicy::with_fixed_threshold(10).into()),
+    ];
+    for (name, policy) in policies {
+        for streams in [1, 2] {
+            let label = format!("mc/busy_cycle/{name}/{streams}_stream");
+            bench(&label, DEFAULT_ITERS, || {
+                let mut mc = MemoryController::new(&cfg, policy.clone());
+                mc.enqueue(StreamId::Compute, TrafficClass::GemmRead, bytes, 1.0);
+                if streams == 2 {
+                    let cost = cfg.nmc_cost_multiplier;
+                    mc.enqueue(StreamId::Comm, TrafficClass::RsUpdate, bytes, cost);
+                }
+                for now in 0..BUSY_CYCLES {
+                    mc.step(now, None);
+                }
+                black_box(mc.stats().total())
+            });
+        }
+    }
+}
+
 fn main() {
+    bench_busy_controller();
     bench_configurations();
     bench_tp_scaling();
     bench_llc_plans();

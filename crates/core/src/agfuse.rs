@@ -108,7 +108,7 @@ pub fn run_fused_ag_gemm(sys: &SystemConfig, grid: GemmGrid, opts: &AgFuseOption
         }
     };
 
-    let mut mc = MemoryController::new(&sys.mem, Box::new(ComputeFirstPolicy::new()));
+    let mut mc = MemoryController::new(&sys.mem, ComputeFirstPolicy::new());
     let mut gemm = GemmEngine::new(&sys.gpu, LlcPlan::shared(&sys.mem, &grid, true));
     let mut announced: u64 = 0; // received chunks whose writes are enqueued
     let mut scheduling_triggers = 0u64;

@@ -61,12 +61,12 @@ pub enum PolicyChoice {
 
 impl PolicyChoice {
     /// The arbitration policy this choice selects.
-    pub(crate) fn build(self, sys: &SystemConfig) -> Box<dyn ArbitrationPolicy> {
+    pub(crate) fn build(self, sys: &SystemConfig) -> ArbitrationPolicy {
         match self {
-            PolicyChoice::RoundRobin => Box::new(RoundRobinPolicy::new()),
-            PolicyChoice::ComputeFirst => Box::new(ComputeFirstPolicy::new()),
-            PolicyChoice::McaDynamic => Box::new(McaPolicy::new(&sys.mem)),
-            PolicyChoice::McaFixed(t) => Box::new(McaPolicy::with_fixed_threshold(t)),
+            PolicyChoice::RoundRobin => RoundRobinPolicy::new().into(),
+            PolicyChoice::ComputeFirst => ComputeFirstPolicy::new().into(),
+            PolicyChoice::McaDynamic => McaPolicy::new(&sys.mem).into(),
+            PolicyChoice::McaFixed(t) => McaPolicy::with_fixed_threshold(t).into(),
         }
     }
 }
@@ -276,12 +276,18 @@ pub fn run_fused_gemm_rs_instrumented(
     // fires on the first scan.
     let mut scan_triggers = true;
     let mut clock = Clock::new(opts.mode);
+    // Set when a busy leap already stepped the controller at `now`.
+    let mut mc_stepped = false;
+    let (mut loop_steps, mut busy_leap_cycles) = (0u64, 0u64);
 
     mc.reset_occupancy_window();
 
     loop {
         let now = clock.now();
-        mc.step_traced(now, ts.as_mut(), reborrow(&mut ins));
+        loop_steps += 1;
+        if !std::mem::take(&mut mc_stepped) {
+            mc.step_traced(now, ts.as_mut(), reborrow(&mut ins));
+        }
 
         // 1. Attribute newly serviced incoming updates to the tracker.
         feed.attribute(
@@ -467,25 +473,38 @@ pub fn run_fused_gemm_rs_instrumented(
             break;
         }
 
-        // With the controller quiescent, nothing can happen before the
-        // earliest component event. A tracker fire can only follow a
-        // controller service or a GEMM store, both of which require an
-        // event first, so a leap skips no fire.
-        let gap = clock.advance(mc.is_idle(), || {
-            let events = [
-                gemm.next_event(now, &mc),
-                dma.next_event(now, &mc),
-                next_release(&pending_incoming, now),
-            ];
-            events.into_iter().flatten().min()
-        });
-        if let Some(gap) = gap {
-            mc.skip_idle(gap.start, gap.end, reborrow(&mut ins));
-        }
+        // Nothing but the controller can act before the earliest
+        // component event or the first watched service: with the
+        // controller quiescent the clock leaps there, with it busy the
+        // controller steps itself there. A tracker fire can only follow
+        // a watched service or a GEMM store, so a leap skips no fire.
+        let watches = [
+            gemm.read_watch(),
+            dma.read_watch(),
+            feed.front_watch(TrafficClass::RsUpdate),
+        ];
+        let leaped = mc.advance_clock(
+            &mut clock,
+            |mc| {
+                let events = [
+                    gemm.next_event(now, mc),
+                    dma.next_event(now, mc),
+                    next_release(&pending_incoming, now),
+                ];
+                events.into_iter().flatten().min()
+            },
+            &watches,
+            ts.as_mut(),
+            reborrow(&mut ins),
+        );
+        busy_leap_cycles += leaped;
+        mc_stepped = leaped > 0;
     }
 
     let now = clock.now();
     if let Some(ins) = reborrow(&mut ins) {
+        ins.set_work("run.loop_steps", loop_steps);
+        ins.set_work("run.busy_leap_cycles", busy_leap_cycles);
         ins.record(
             now,
             Event::LlcSample {
@@ -616,11 +635,14 @@ fn run_fused_direct(
     let mut first_stage_done = false;
     let mut gemm_done = false;
     let mut clock = Clock::new(opts.mode);
+    let mut mc_stepped = false;
     mc.reset_occupancy_window();
 
     loop {
         let now = clock.now();
-        mc.step(now, ts.as_mut());
+        if !std::mem::take(&mut mc_stepped) {
+            mc.step(now, ts.as_mut());
+        }
         feed.attribute(
             mc.stats().bytes(TrafficClass::RsUpdate),
             &mut tracker,
@@ -689,18 +711,24 @@ fn run_fused_direct(
         {
             break;
         }
-        let gap = clock.advance(mc.is_idle(), || {
-            let link_at = links.iter().filter_map(|l| l.next_event(now)).min();
-            let events = [
-                gemm.next_event(now, &mc),
-                link_at,
-                next_release(&pending_incoming, now),
-            ];
-            events.into_iter().flatten().min()
-        });
-        if let Some(gap) = gap {
-            mc.skip_idle(gap.start, gap.end, None);
-        }
+        // Leaps as in the ring loop.
+        let watches = [gemm.read_watch(), feed.front_watch(TrafficClass::RsUpdate)];
+        let leaped = mc.advance_clock(
+            &mut clock,
+            |mc| {
+                let link_at = links.iter().filter_map(|l| l.next_event(now)).min();
+                let events = [
+                    gemm.next_event(now, mc),
+                    link_at,
+                    next_release(&pending_incoming, now),
+                ];
+                events.into_iter().flatten().min()
+            },
+            &watches,
+            ts.as_mut(),
+            None,
+        );
+        mc_stepped = leaped > 0;
     }
 
     FusedRunResult {

@@ -16,6 +16,8 @@ use crate::addrmap::ChunkRoute;
 use crate::fused::wf_rows;
 use crate::tracker::{Tracker, WfId};
 use t3_gpu::gemm::GemmGrid;
+use t3_mem::controller::Watch;
+use t3_sim::stats::TrafficClass;
 use t3_sim::Bytes;
 
 /// The non-empty wavefront output regions of WGs `[w0, w1)` in WG/WF
@@ -220,6 +222,18 @@ impl Feed {
             let updates = c.route.updates_per_element();
             self.push(grid, c.wg_bounds, position, updates, c.incoming_passes);
         }
+    }
+
+    /// The counter value at which the front region completes, as a
+    /// watch on `class` (the counter [`Feed::attribute`] is fed from):
+    /// the bytes attributed so far plus what the front region still
+    /// lacks. A busy leap stops there, so each region is attributed,
+    /// counted in the Tracker and fired at exactly its stepped cycle.
+    pub(crate) fn front_watch(&self, class: TrafficClass) -> Option<Watch> {
+        self.entries.front().map(|e| {
+            let left = e.elems * self.elem_bytes - self.front_consumed;
+            Watch::Class(class, self.attributed + left)
+        })
     }
 
     /// Attributes the comm stream's newly serviced incoming bytes

@@ -29,11 +29,12 @@ use std::sync::Arc;
 
 use crate::gemm::GemmGrid;
 use crate::llc_plan::LlcPlan;
-use t3_mem::controller::{MemoryController, StreamId};
+use t3_mem::controller::{MemoryController, StreamId, Watch};
 use t3_sim::clock::Clock;
 use t3_sim::config::GpuConfig;
 use t3_sim::stats::TrafficClass;
 use t3_sim::{Bytes, Cycle, SimMode};
+use t3_trace::{reborrow, Instruments};
 
 /// What happened during one engine step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,8 +190,8 @@ impl GemmEngine {
     /// * `StartStage`, a satisfied `WaitReads`, and an unreported
     ///   `Done` — the very next step;
     /// * an unsatisfied read target — `None`: the memory controller
-    ///   still holds the un-serviced transactions, so it is busy and
-    ///   itself pins the next event at `now + 1`;
+    ///   still holds the un-serviced transactions, so it is busy, and a
+    ///   busy leap stops where [`GemmEngine::read_watch`] is reached;
     /// * reported `Done` — `None`, the engine is inert.
     pub fn next_event(&self, now: Cycle, mc: &MemoryController) -> Option<Cycle> {
         if !self.launched {
@@ -207,6 +208,20 @@ impl GemmEngine {
                 reads_done(target).then(|| until.max(now + 1))
             }
             Phase::Done { reported } => (!reported).then(|| now + 1),
+        }
+    }
+
+    /// The controller counter the engine waits on: compute-stream
+    /// serviced bytes reaching the stage's read target, while the read
+    /// phase is outstanding (`WaitReads`, `ComputeWithReads`). A busy
+    /// leap must stop where it is reached, because
+    /// [`GemmEngine::next_event`] cannot time it.
+    pub fn read_watch(&self) -> Option<Watch> {
+        match self.phase {
+            Phase::WaitReads { target } | Phase::ComputeWithReads { target, .. } => {
+                Some(Watch::Serviced(StreamId::Compute, target))
+            }
+            _ => None,
         }
     }
 
@@ -327,7 +342,7 @@ pub fn run_gemm_isolated_in_mode(
     write_policy: WritePolicy,
     mode: SimMode,
 ) -> IsolatedGemmRun {
-    run_gemm_isolated_traced_in_mode(sys, grid, write_policy, None, mode).0
+    run_gemm_isolated_traced_in_mode(sys, grid, write_policy, None, mode, None).0
 }
 
 /// As [`run_gemm_isolated`], optionally recording a DRAM-traffic time
@@ -339,34 +354,44 @@ pub fn run_gemm_isolated_traced(
     write_policy: WritePolicy,
     bucket: Option<t3_sim::Cycle>,
 ) -> (IsolatedGemmRun, Option<t3_sim::timeseries::TimeSeries>) {
-    run_gemm_isolated_traced_in_mode(sys, grid, write_policy, bucket, SimMode::default())
+    run_gemm_isolated_traced_in_mode(sys, grid, write_policy, bucket, SimMode::default(), None)
 }
 
-/// The isolated runner with an explicit [`SimMode`]. Time advances on a
-/// [`Clock`]: in [`SimMode::FastForward`] it leaps to the engine's next
-/// event whenever the memory controller is idle (compute phases with no
+/// The isolated runner with an explicit [`SimMode`] and optional
+/// instruments (memory-controller queue samples, end-of-run cycles and
+/// traffic, and the loop's work counters `run.loop_steps` and
+/// `run.busy_leap_cycles`). Time advances on a [`Clock`]. In
+/// [`SimMode::FastForward`] it leaps to the engine's next event
+/// whenever the memory controller is idle (compute phases with no
 /// traffic in flight), and the loop replays the skipped gap via
-/// [`MemoryController::skip_idle`]; results are byte-identical to
-/// [`SimMode::Stepped`].
+/// [`MemoryController::skip_idle`]; while the controller is busy it
+/// steps itself alone ([`MemoryController::advance_clock`]) until the
+/// engine's read target is serviced, it drains, or the engine's next
+/// event is due. Results are byte-identical to [`SimMode::Stepped`].
 pub fn run_gemm_isolated_traced_in_mode(
     sys: &t3_sim::config::SystemConfig,
     grid: GemmGrid,
     write_policy: WritePolicy,
     bucket: Option<t3_sim::Cycle>,
     mode: SimMode,
+    mut ins: Option<&mut Instruments>,
 ) -> (IsolatedGemmRun, Option<t3_sim::timeseries::TimeSeries>) {
-    let mut mc = MemoryController::new(
-        &sys.mem,
-        Box::new(t3_mem::arbiter::ComputeFirstPolicy::new()),
-    );
+    let mut mc = MemoryController::new(&sys.mem, t3_mem::arbiter::ComputeFirstPolicy::new());
     let cached = write_policy == WritePolicy::CachedLocal;
     let mut engine = GemmEngine::new(&sys.gpu, LlcPlan::shared(&sys.mem, &grid, cached));
     let mut ts = bucket.map(t3_sim::timeseries::TimeSeries::new);
     let mut clock = Clock::new(mode);
     let mut finished = false;
-    while !finished || !mc.is_idle() {
+    // Set when a busy leap already stepped the controller at `now`;
+    // it was busy before that step, so the loop still runs this cycle.
+    let mut mc_stepped = false;
+    let (mut loop_steps, mut busy_leap_cycles) = (0u64, 0u64);
+    while mc_stepped || !finished || !mc.is_idle() {
         let now = clock.now();
-        mc.step(now, ts.as_mut());
+        loop_steps += 1;
+        if !std::mem::take(&mut mc_stepped) {
+            mc.step_traced(now, ts.as_mut(), reborrow(&mut ins));
+        }
         match engine.step(now, &mut mc) {
             GemmEvent::Idle => {}
             GemmEvent::StageStoresIssued { stage, .. } => {
@@ -380,13 +405,28 @@ pub fn run_gemm_isolated_traced_in_mode(
                 finished = true;
             }
         }
-        if let Some(gap) = clock.advance(mc.is_idle(), || engine.next_event(now, &mc)) {
-            mc.skip_idle(gap.start, gap.end, None);
+        let leaped = mc.advance_clock(
+            &mut clock,
+            |mc| engine.next_event(now, mc),
+            &[engine.read_watch()],
+            ts.as_mut(),
+            reborrow(&mut ins),
+        );
+        busy_leap_cycles += leaped;
+        mc_stepped = leaped > 0;
+    }
+    let cycles = clock.now();
+    if let Some(ins) = ins {
+        if let Some(m) = ins.metrics.as_mut() {
+            m.set("run.cycles", cycles);
+            m.record_traffic(mc.stats());
         }
+        ins.set_work("run.loop_steps", loop_steps);
+        ins.set_work("run.busy_leap_cycles", busy_leap_cycles);
     }
     (
         IsolatedGemmRun {
-            cycles: clock.now(),
+            cycles,
             stats: mc.stats().clone(),
         },
         ts,
@@ -528,8 +568,7 @@ mod tests {
         let s = sys();
         let grid = grid_of(2048, 2048, 256);
         let stages = grid.num_stages();
-        let mut mc =
-            MemoryController::new(&s.mem, Box::new(t3_mem::arbiter::ComputeFirstPolicy::new()));
+        let mut mc = MemoryController::new(&s.mem, t3_mem::arbiter::ComputeFirstPolicy::new());
         let mut engine = GemmEngine::new(&s.gpu, LlcPlan::shared(&s.mem, &grid, false));
         let mut seen = Vec::new();
         let mut now = 0;
@@ -551,8 +590,7 @@ mod tests {
     fn finished_is_reported_once() {
         let s = sys();
         let grid = grid_of(256, 256, 64);
-        let mut mc =
-            MemoryController::new(&s.mem, Box::new(t3_mem::arbiter::ComputeFirstPolicy::new()));
+        let mut mc = MemoryController::new(&s.mem, t3_mem::arbiter::ComputeFirstPolicy::new());
         let mut engine = GemmEngine::new(&s.gpu, LlcPlan::shared(&s.mem, &grid, false));
         let mut finishes = 0;
         for now in 0..200_000 {
@@ -602,8 +640,7 @@ mod tests {
     fn next_event_matches_the_stepped_phase_transitions() {
         let s = sys();
         let grid = grid_of(2048, 2048, 256);
-        let mut mc =
-            MemoryController::new(&s.mem, Box::new(t3_mem::arbiter::ComputeFirstPolicy::new()));
+        let mut mc = MemoryController::new(&s.mem, t3_mem::arbiter::ComputeFirstPolicy::new());
         let mut engine = GemmEngine::new(&s.gpu, LlcPlan::shared(&s.mem, &grid, false));
         // Step the run to completion, recording every cycle at which
         // the engine changed phase or emitted an event, plus the
@@ -665,6 +702,7 @@ mod tests {
                         WritePolicy::CachedLocal,
                         Some(2000),
                         mode,
+                        None,
                     )
                 };
                 let (stepped, ts_s) = run(SimMode::Stepped);

@@ -198,7 +198,7 @@ impl GemmGrid {
 
     /// Output bytes produced by the WG range `[start, end)`.
     pub fn wg_range_output_bytes(&self, start: u64, end: u64) -> Bytes {
-        (start..end).map(|wg| self.wg_output_bytes(wg)).sum()
+        self.wg_output_offset(end) - self.wg_output_offset(start)
     }
 
     /// Output bytes produced in `stage`.
@@ -249,13 +249,26 @@ impl GemmGrid {
         self.b_base() + self.shape.b_bytes()
     }
 
-    /// Start address and size of workgroup `wg`'s output region.
+    /// Start address and size of workgroup `wg`'s output region, in
+    /// O(1); the LLC plan, the Tracker's wavefront regions and the
+    /// functional layer's tile order all use it.
     pub fn wg_output_region(&self, wg: u64) -> (u64, Bytes) {
-        // Tiles are laid out in WG order; sizes vary at the edges, so
-        // accumulate. This is O(wg), used only for functional checks;
-        // the timing path uses ranges.
-        let start: Bytes = (0..wg).map(|w| self.wg_output_bytes(w)).sum();
-        (self.c_base() + start, self.wg_output_bytes(wg))
+        (
+            self.c_base() + self.wg_output_offset(wg),
+            self.wg_output_bytes(wg),
+        )
+    }
+
+    /// Byte offset of workgroup `wg`'s tile in C (`num_wgs()` gives the
+    /// end of C). Tiles are laid out in WG order and only the last
+    /// tile-row is short and only the last tile-column narrow, so every
+    /// tile-row above `wg`'s is `tile` rows of all `n` columns, and
+    /// every tile left of it in its row is `tile` columns wide.
+    fn wg_output_offset(&self, wg: u64) -> Bytes {
+        let (row, col) = (wg / self.tiles_n, wg % self.tiles_n);
+        let rows_above = (row * self.tile).min(self.shape.m);
+        let height = (self.shape.m - rows_above).min(self.tile);
+        (rows_above * self.shape.n + col * height * self.tile) * self.shape.elem_bytes
     }
 
     /// Read regions (address, bytes) touched by `stage`: the unique

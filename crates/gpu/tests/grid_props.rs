@@ -130,3 +130,36 @@ fn chunk_bounds_partition_wgs() {
         assert_eq!(covered, grid.num_wgs(), "seed {seed}");
     }
 }
+
+/// The closed-form output layout equals the WG-order prefix sum of
+/// tile sizes, for every WG of edge-tile shapes (short last tile-row,
+/// narrow last tile-column, single row or column).
+#[test]
+fn output_regions_match_the_prefix_sum() {
+    for seed in 0..48u64 {
+        let mut rng = SplitMix64::new(seed);
+        let tile = rng.pick(&[16u32, 32, 64, 128]);
+        let t = tile as u64;
+        let edge =
+            |rng: &mut SplitMix64| rng.gen_range(1, 6) * t + rng.pick(&[0u64, 1, t / 2, t - 1]);
+        let m = edge(&mut rng);
+        let n = edge(&mut rng);
+        let shape = GemmShape::new(m, n, rng.gen_range(1, 64));
+        let grid = GemmGrid::new(&gpu(tile, 80), shape);
+        let mut prefix = grid.c_base();
+        for wg in 0..grid.num_wgs() {
+            let (addr, bytes) = grid.wg_output_region(wg);
+            assert_eq!(addr, prefix, "seed {seed} {shape:?} wg {wg}");
+            assert_eq!(bytes, grid.wg_output_bytes(wg), "seed {seed} wg {wg}");
+            assert_eq!(
+                grid.wg_range_output_bytes(0, wg),
+                prefix - grid.c_base(),
+                "seed {seed} wg {wg}"
+            );
+            prefix += bytes;
+        }
+        let all = grid.wg_range_output_bytes(0, grid.num_wgs());
+        assert_eq!(all, grid.shape().output_bytes(), "seed {seed}");
+        assert_eq!(prefix, grid.c_base() + all, "seed {seed}");
+    }
+}

@@ -327,11 +327,16 @@ pub fn is_hot_fn_name(name: &str) -> bool {
 
 /// True when `name` denotes a fast-forward event predictor: the
 /// `next_event` methods themselves plus the `next_arrival` and
-/// `*_next_event` variants. Test names that merely *start* with
+/// `*_next_event` variants, and the `*_watch` accessors that hand a
+/// busy leap the controller counter target a component waits on
+/// (`read_watch`, `front_watch`). Test names that merely *start* with
 /// `next_event_` (e.g. `next_event_is_exact`) are deliberately not
 /// matched — they assert on predictors rather than being one.
 pub fn is_next_event_fn_name(name: &str) -> bool {
-    name == "next_event" || name == "next_arrival" || name.ends_with("_next_event")
+    name == "next_event"
+        || name == "next_arrival"
+        || name.ends_with("_next_event")
+        || name.ends_with("_watch")
 }
 
 /// Finds the token-range bodies of functions whose name satisfies

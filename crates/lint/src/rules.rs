@@ -210,7 +210,7 @@ pub const RULES: &[RuleInfo] = &[
         name: "next-event-drift",
         code: "T3L010",
         summary: "division or float math inside a `next_event`/`next_arrival` fast-forward \
-                  predictor body in a timing crate",
+                  predictor or a `*_watch` busy-leap accessor body in a timing crate",
         rationale: "The fast-forward engines leap `now` straight to the minimum predicted next \
                     event and replay the skipped cycles in closed form. A predictor stays sound \
                     only when it reuses the stepped path's exact integer arithmetic: a \
@@ -218,7 +218,10 @@ pub const RULES: &[RuleInfo] = &[
                     real state change, and the leap then silently jumps over it — the stepped \
                     and fast-forward runs diverge with no panic, just wrong bytes. Predictors \
                     must derive events from stored integer deadlines (arrival cycles, `until` \
-                    phases, `now + 1`), never re-derive them by dividing rates.",
+                    phases, `now + 1`), never re-derive them by dividing rates. The same holds \
+                    for the `*_watch` accessors a busy leap stops on: a watch must be a stored \
+                    integer byte count on a counter the controller keeps, or the leap can run \
+                    past the cycle the component acts.",
         example: "    fn next_event(&self, now: Cycle) -> Option<Cycle> {\n\
                   \x20       Some(now + self.queued_bytes / self.chunk_bytes) // floor: too late\n\
                   \x20   }",
@@ -423,8 +426,8 @@ pub fn check_panic_hot_path(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
 ///
 /// Fires on any `/` or `%` operator, float literal, or float marker
 /// (`f32`/`f64`/`ceil`/`floor`/`round`/`powi`/`powf`) inside the body
-/// of a `fn next_event`/`next_arrival`/`*_next_event` in a timing
-/// crate, outside test code. The stepped engines compute transfer and
+/// of a `fn next_event`/`next_arrival`/`*_next_event` or a busy-leap
+/// `fn *_watch` accessor in a timing crate, outside test code. The stepped engines compute transfer and
 /// stage durations once, at enqueue time, with direction-explicit
 /// rounding; a predictor that divides or rounds again can disagree
 /// with that stored deadline and return a too-late cycle — the one

@@ -379,6 +379,23 @@ fn next_event_drift_fires_on_rederived_arithmetic() {
 }
 
 #[test]
+fn next_event_drift_fires_on_a_float_derived_watch() {
+    let diags = lint_source("crates/core/src/fx.rs", &fixture("watch_bad.rs"));
+    let drift: Vec<&str> = diags
+        .iter()
+        .filter(|d| d.rule == "next-event-drift")
+        .map(|d| d.anchor.as_str())
+        .collect();
+    // The float `ceil` and the `f64` cast (T3L003 also flags the
+    // truncation into `u64`).
+    assert_eq!(
+        drift,
+        vec!["front_watch.ceil", "front_watch.f64"],
+        "{diags:?}"
+    );
+}
+
+#[test]
 fn next_event_drift_scopes_to_predictor_bodies_and_timing_crates() {
     // Division outside the predictor body is legal...
     let diags = lint_source("crates/net/src/fx.rs", &fixture("next_event_clean.rs"));

@@ -14,8 +14,11 @@
 //!   the compute kernel's memory intensity (probed during its first,
 //!   isolated stage), plus a starvation guard for the communication
 //!   stream.
-
-use std::fmt;
+//!
+//! [`ArbitrationPolicy`] is the closed set of the three that a memory
+//! controller holds. Each pick also says how many consecutive issue
+//! slots it holds for, so the controller asks once per run of
+//! transactions rather than once per transaction.
 
 use t3_sim::config::MemConfig;
 
@@ -43,37 +46,102 @@ pub struct ArbiterState {
     pub dram_capacity: usize,
 }
 
-/// An arbitration policy deciding, per issue slot, which stream may
-/// place a transaction into the DRAM queue.
-pub trait ArbitrationPolicy: fmt::Debug + Send {
+/// A stream pick and how long it holds: the number of consecutive
+/// issue slots the policy makes the same pick while only the DRAM
+/// queue's occupancy changes (each slot adds one transaction) and the
+/// picked stream keeps work pending. The controller issues up to that
+/// many transactions per decision.
+pub(crate) type Pick = (StreamId, u64);
+
+/// A pick that holds for as many slots as the controller can fill.
+const HOLDS: u64 = u64::MAX;
+
+/// The arbitration policy deciding, per issue slot, which stream may
+/// place a transaction into the DRAM queue: one closed set of the three
+/// policies the paper discusses.
+#[derive(Debug, Clone)]
+pub enum ArbitrationPolicy {
+    /// See [`RoundRobinPolicy`].
+    RoundRobin(RoundRobinPolicy),
+    /// See [`ComputeFirstPolicy`].
+    ComputeFirst(ComputeFirstPolicy),
+    /// See [`McaPolicy`].
+    Mca(McaPolicy),
+}
+
+impl From<RoundRobinPolicy> for ArbitrationPolicy {
+    fn from(p: RoundRobinPolicy) -> Self {
+        ArbitrationPolicy::RoundRobin(p)
+    }
+}
+
+impl From<ComputeFirstPolicy> for ArbitrationPolicy {
+    fn from(p: ComputeFirstPolicy) -> Self {
+        ArbitrationPolicy::ComputeFirst(p)
+    }
+}
+
+impl From<McaPolicy> for ArbitrationPolicy {
+    fn from(p: McaPolicy) -> Self {
+        ArbitrationPolicy::Mca(p)
+    }
+}
+
+impl ArbitrationPolicy {
     /// Short policy name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Called once per controller cycle (before any issue slots), so
-    /// policies can advance starvation counters.
-    fn tick(&mut self) {}
-
-    /// Advances the policy by `cycles` ticks at once — the closed-form
-    /// replay the fast-forward engine uses when it leaps over idle
-    /// cycles. The default loops [`ArbitrationPolicy::tick`]; policies
-    /// with per-tick state override it with an exact O(1) form.
-    fn tick_many(&mut self, cycles: u64) {
-        for _ in 0..cycles {
-            self.tick();
+    pub fn name(&self) -> &'static str {
+        match self {
+            ArbitrationPolicy::RoundRobin(_) => "round-robin",
+            ArbitrationPolicy::ComputeFirst(_) => "compute-first",
+            ArbitrationPolicy::Mca(_) => "t3-mca",
         }
     }
 
-    /// Chooses a stream for the next issue slot, or `None` to leave the
-    /// slot idle this cycle.
-    fn choose(&mut self, state: &ArbiterState) -> Option<StreamId>;
+    /// Called once per controller cycle (before any issue slots), so
+    /// policies can advance starvation counters.
+    pub fn tick(&mut self) {
+        if let ArbitrationPolicy::Mca(p) = self {
+            p.tick();
+        }
+    }
 
-    /// Notifies the policy that a transaction from `stream` was issued.
-    fn on_issue(&mut self, _stream: StreamId) {}
+    /// Advances the policy by `cycles` ticks at once, exactly as that
+    /// many [`ArbitrationPolicy::tick`] calls — the closed-form replay
+    /// the fast-forward engines use when they leap over idle cycles.
+    pub fn tick_many(&mut self, cycles: u64) {
+        if let ArbitrationPolicy::Mca(p) = self {
+            p.tick_many(cycles);
+        }
+    }
+
+    /// Chooses a stream for the next issue slot (`None` leaves the slot
+    /// idle this cycle) and says how long the pick holds (see [`Pick`]).
+    pub(crate) fn pick(&self, state: &ArbiterState) -> Option<Pick> {
+        match self {
+            ArbitrationPolicy::RoundRobin(p) => p.pick(state),
+            ArbitrationPolicy::ComputeFirst(p) => p.pick(state),
+            ArbitrationPolicy::Mca(p) => p.pick(state),
+        }
+    }
+
+    /// Notifies the policy that transactions from `stream` were issued
+    /// (one call covers any number of consecutive issues of one pick).
+    pub fn on_issue(&mut self, stream: StreamId) {
+        match self {
+            ArbitrationPolicy::RoundRobin(p) => p.on_issue(stream),
+            ArbitrationPolicy::ComputeFirst(_) => {}
+            ArbitrationPolicy::Mca(p) => p.on_issue(stream),
+        }
+    }
 
     /// Feeds the policy the compute kernel's memory intensity, measured
     /// as the average DRAM-queue occupancy fraction during the kernel's
     /// first (isolated) stage — Section 4.5. Only T3-MCA reacts.
-    fn observe_compute_intensity(&mut self, _avg_occupancy_fraction: f64) {}
+    pub fn observe_compute_intensity(&mut self, avg_occupancy_fraction: f64) {
+        if let ArbitrationPolicy::Mca(p) = self {
+            p.observe_compute_intensity(avg_occupancy_fraction);
+        }
+    }
 }
 
 /// Naive policy: round-robin between streams, falling back to the
@@ -88,32 +156,24 @@ impl RoundRobinPolicy {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl ArbitrationPolicy for RoundRobinPolicy {
-    fn name(&self) -> &'static str {
-        "round-robin"
+    /// The preferred stream when it has work, else the other one. With
+    /// both streams pending the pick alternates, so it holds one slot;
+    /// with one pending it holds until that stream runs dry.
+    pub(crate) fn pick(&self, state: &ArbiterState) -> Option<Pick> {
+        match (state.compute_pending, state.comm_pending) {
+            (true, true) => match self.last {
+                Some(StreamId::Compute) => Some((StreamId::Comm, 1)),
+                _ => Some((StreamId::Compute, 1)),
+            },
+            (true, false) => Some((StreamId::Compute, HOLDS)),
+            (false, true) => Some((StreamId::Comm, HOLDS)),
+            (false, false) => None,
+        }
     }
 
-    fn choose(&mut self, state: &ArbiterState) -> Option<StreamId> {
-        let preferred = match self.last {
-            Some(StreamId::Compute) => StreamId::Comm,
-            _ => StreamId::Compute,
-        };
-        let pick = |s: StreamId| match s {
-            StreamId::Compute if state.compute_pending => Some(StreamId::Compute),
-            StreamId::Comm if state.comm_pending => Some(StreamId::Comm),
-            _ => None,
-        };
-        pick(preferred).or_else(|| {
-            pick(match preferred {
-                StreamId::Compute => StreamId::Comm,
-                StreamId::Comm => StreamId::Compute,
-            })
-        })
-    }
-
-    fn on_issue(&mut self, stream: StreamId) {
+    /// Notes the stream just issued: the next pick prefers the other.
+    pub fn on_issue(&mut self, stream: StreamId) {
         self.last = Some(stream);
     }
 }
@@ -128,18 +188,14 @@ impl ComputeFirstPolicy {
     pub fn new() -> Self {
         Self
     }
-}
 
-impl ArbitrationPolicy for ComputeFirstPolicy {
-    fn name(&self) -> &'static str {
-        "compute-first"
-    }
-
-    fn choose(&mut self, state: &ArbiterState) -> Option<StreamId> {
+    /// Compute when it has work, else communication; a pick holds until
+    /// its stream runs dry.
+    pub(crate) fn pick(&self, state: &ArbiterState) -> Option<Pick> {
         if state.compute_pending {
-            Some(StreamId::Compute)
+            Some((StreamId::Compute, HOLDS))
         } else if state.comm_pending {
-            Some(StreamId::Comm)
+            Some((StreamId::Comm, HOLDS))
         } else {
             None
         }
@@ -168,7 +224,7 @@ impl McaPolicy {
 
     /// Creates the policy with the most permissive threshold; callers
     /// (or the fused engine's first-stage probe) tighten it via
-    /// [`ArbitrationPolicy::observe_compute_intensity`].
+    /// [`McaPolicy::observe_compute_intensity`].
     pub fn new(_cfg: &MemConfig) -> Self {
         McaPolicy {
             threshold: MCA_THRESHOLDS[2],
@@ -199,44 +255,48 @@ impl McaPolicy {
     pub fn threshold(&self) -> usize {
         self.threshold
     }
-}
 
-impl ArbitrationPolicy for McaPolicy {
-    fn name(&self) -> &'static str {
-        "t3-mca"
-    }
-
-    fn tick(&mut self) {
-        // Counter saturates; reset happens on comm issue.
+    /// Counts one cycle of communication waiting; the counter
+    /// saturates, and a comm issue resets it.
+    pub fn tick(&mut self) {
         self.comm_wait_cycles = self.comm_wait_cycles.saturating_add(1);
     }
 
-    fn tick_many(&mut self, cycles: u64) {
-        // N saturating increments collapse to one saturating add.
+    /// `cycles` ticks at once: N saturating increments collapse to one
+    /// saturating add.
+    pub fn tick_many(&mut self, cycles: u64) {
         self.comm_wait_cycles = self.comm_wait_cycles.saturating_add(cycles);
     }
 
-    fn choose(&mut self, state: &ArbiterState) -> Option<StreamId> {
+    /// A starved comm stream first (one slot: the issue resets the
+    /// wait), then compute (holds until it runs dry), then comm while
+    /// occupancy stays below the threshold (holds for the room left
+    /// under it).
+    pub(crate) fn pick(&self, state: &ArbiterState) -> Option<Pick> {
         let starved = state.comm_pending && self.comm_wait_cycles > self.starvation_limit;
         if starved {
-            return Some(StreamId::Comm);
+            return Some((StreamId::Comm, 1));
         }
         if state.compute_pending {
-            return Some(StreamId::Compute);
+            return Some((StreamId::Compute, HOLDS));
         }
         if state.comm_pending && state.dram_occupancy < self.threshold {
-            return Some(StreamId::Comm);
+            let room = (self.threshold - state.dram_occupancy) as u64;
+            return Some((StreamId::Comm, room));
         }
         None
     }
 
-    fn on_issue(&mut self, stream: StreamId) {
+    /// Notes an issue: a comm issue ends the stream's wait.
+    pub fn on_issue(&mut self, stream: StreamId) {
         if stream == StreamId::Comm {
             self.comm_wait_cycles = 0;
         }
     }
 
-    fn observe_compute_intensity(&mut self, avg_occupancy_fraction: f64) {
+    /// Picks the occupancy threshold from the compute kernel's measured
+    /// memory intensity (Section 4.5).
+    pub fn observe_compute_intensity(&mut self, avg_occupancy_fraction: f64) {
         // Memory-intensive kernels keep the DRAM queue fuller during
         // their isolated first stage; give communication less headroom
         // for them (Section 4.5).
@@ -258,6 +318,10 @@ mod tests {
     use super::*;
     use t3_sim::config::SystemConfig;
 
+    fn choose(pick: Option<Pick>) -> Option<StreamId> {
+        pick.map(|(stream, _)| stream)
+    }
+
     fn state(compute: bool, comm: bool, occ: usize) -> ArbiterState {
         ArbiterState {
             compute_pending: compute,
@@ -271,9 +335,9 @@ mod tests {
     fn round_robin_alternates() {
         let mut p = RoundRobinPolicy::new();
         let s = state(true, true, 0);
-        let first = p.choose(&s).unwrap();
+        let first = choose(p.pick(&s)).unwrap();
         p.on_issue(first);
-        let second = p.choose(&s).unwrap();
+        let second = choose(p.pick(&s)).unwrap();
         assert_ne!(first, second);
     }
 
@@ -281,16 +345,25 @@ mod tests {
     fn round_robin_falls_back_when_one_empty() {
         let mut p = RoundRobinPolicy::new();
         p.on_issue(StreamId::Compute); // next preference is Comm
-        assert_eq!(p.choose(&state(true, false, 0)), Some(StreamId::Compute));
-        assert_eq!(p.choose(&state(false, false, 0)), None);
+        assert_eq!(
+            choose(p.pick(&state(true, false, 0))),
+            Some(StreamId::Compute)
+        );
+        assert_eq!(choose(p.pick(&state(false, false, 0))), None);
     }
 
     #[test]
     fn compute_first_prefers_compute() {
-        let mut p = ComputeFirstPolicy::new();
-        assert_eq!(p.choose(&state(true, true, 63)), Some(StreamId::Compute));
-        assert_eq!(p.choose(&state(false, true, 63)), Some(StreamId::Comm));
-        assert_eq!(p.choose(&state(false, false, 0)), None);
+        let p = ComputeFirstPolicy::new();
+        assert_eq!(
+            choose(p.pick(&state(true, true, 63))),
+            Some(StreamId::Compute)
+        );
+        assert_eq!(
+            choose(p.pick(&state(false, true, 63))),
+            Some(StreamId::Comm)
+        );
+        assert_eq!(choose(p.pick(&state(false, false, 0))), None);
     }
 
     #[test]
@@ -299,15 +372,18 @@ mod tests {
         let mut p = McaPolicy::new(&cfg);
         p.observe_compute_intensity(0.6); // memory intensive -> threshold 5
         assert_eq!(p.threshold(), 5);
-        assert_eq!(p.choose(&state(false, true, 4)), Some(StreamId::Comm));
-        assert_eq!(p.choose(&state(false, true, 5)), None);
+        assert_eq!(choose(p.pick(&state(false, true, 4))), Some(StreamId::Comm));
+        assert_eq!(choose(p.pick(&state(false, true, 5))), None);
     }
 
     #[test]
     fn mca_prefers_compute_even_at_low_occupancy() {
         let cfg = SystemConfig::paper_default().mem;
-        let mut p = McaPolicy::new(&cfg);
-        assert_eq!(p.choose(&state(true, true, 0)), Some(StreamId::Compute));
+        let p = McaPolicy::new(&cfg);
+        assert_eq!(
+            choose(p.pick(&state(true, true, 0))),
+            Some(StreamId::Compute)
+        );
     }
 
     #[test]
@@ -318,10 +394,10 @@ mod tests {
         for _ in 0..4 {
             p.tick();
         }
-        assert_eq!(p.choose(&s), Some(StreamId::Comm));
+        assert_eq!(choose(p.pick(&s)), Some(StreamId::Comm));
         p.on_issue(StreamId::Comm);
         // Counter reset: compute wins again.
-        assert_eq!(p.choose(&s), Some(StreamId::Compute));
+        assert_eq!(choose(p.pick(&s)), Some(StreamId::Compute));
     }
 
     #[test]
@@ -350,16 +426,42 @@ mod tests {
             jumped.tick_many(n);
             assert_eq!(looped.comm_wait_cycles, jumped.comm_wait_cycles, "n={n}");
         }
-        // The trait default covers stateless policies trivially.
-        let mut rr = RoundRobinPolicy::new();
+        // Stateless policies ignore ticks.
+        let mut rr = ArbitrationPolicy::from(RoundRobinPolicy::new());
         rr.tick_many(1000);
-        assert_eq!(rr.choose(&state(true, false, 0)), Some(StreamId::Compute));
+        assert_eq!(
+            choose(rr.pick(&state(true, false, 0))),
+            Some(StreamId::Compute)
+        );
+    }
+
+    #[test]
+    fn picks_hold_until_something_but_occupancy_changes() {
+        let rr = RoundRobinPolicy::new();
+        assert_eq!(rr.pick(&state(true, true, 0)), Some((StreamId::Compute, 1)));
+        assert_eq!(
+            rr.pick(&state(false, true, 0)),
+            Some((StreamId::Comm, HOLDS))
+        );
+        let cf = ComputeFirstPolicy::new();
+        assert_eq!(
+            cf.pick(&state(true, true, 9)),
+            Some((StreamId::Compute, HOLDS))
+        );
+        let mut mca = McaPolicy::with_fixed_threshold(10).with_starvation_limit(3);
+        assert_eq!(mca.pick(&state(false, true, 4)), Some((StreamId::Comm, 6)));
+        assert_eq!(
+            mca.pick(&state(true, true, 4)),
+            Some((StreamId::Compute, HOLDS))
+        );
+        mca.tick_many(4);
+        assert_eq!(mca.pick(&state(true, true, 40)), Some((StreamId::Comm, 1)));
     }
 
     #[test]
     fn fixed_threshold_constructor() {
         let p = McaPolicy::with_fixed_threshold(10);
         assert_eq!(p.threshold(), 10);
-        assert_eq!(p.name(), "t3-mca");
+        assert_eq!(ArbitrationPolicy::from(p).name(), "t3-mca");
     }
 }

@@ -9,17 +9,23 @@
 //! (CCDWL, Section 5.1.1).
 //!
 //! Traffic is moved in transactions of [`MemConfig::txn_bytes`] but
-//! enqueued in batches, so large phases stay cheap to simulate.
+//! enqueued in batches, and the DRAM queue holds runs of identical
+//! transactions, so large phases stay cheap to simulate: the policy is
+//! asked once per run it issues, not once per transaction. Busy phases
+//! can be replayed by the controller alone
+//! ([`MemoryController::advance_busy`]) up to the next cycle a client
+//! watches for.
 
 use std::collections::VecDeque;
 
 pub use crate::arbiter::StreamId;
 use crate::arbiter::{ArbiterState, ArbitrationPolicy};
+use t3_sim::clock::Clock;
 use t3_sim::config::MemConfig;
 use t3_sim::stats::{TrafficClass, TrafficStats};
 use t3_sim::timeseries::TimeSeries;
 use t3_sim::{Bytes, Cycle};
-use t3_trace::{Event, Instruments};
+use t3_trace::{reborrow, Event, Instruments};
 
 /// A batch of same-class transactions waiting in a stream FIFO.
 #[derive(Debug, Clone)]
@@ -30,13 +36,38 @@ struct Batch {
     cost_each: f64,
 }
 
-/// One transaction resident in the DRAM queue.
+/// A run of `count` identical transactions resident in the DRAM queue.
 #[derive(Debug, Clone, Copy)]
-struct QueuedTxn {
+struct Run {
     stream: StreamId,
     class: TrafficClass,
+    /// Bytes of each transaction.
     bytes: Bytes,
     cost: f64,
+    count: u64,
+}
+
+impl Run {
+    /// Whether a transaction of this shape extends the run.
+    fn extends(&self, stream: StreamId, class: TrafficClass, bytes: Bytes, cost: f64) -> bool {
+        self.stream == stream
+            && self.class == class
+            && self.bytes == bytes
+            && self.cost.to_bits() == cost.to_bits()
+    }
+}
+
+/// A serviced-bytes target a client waits on: reached once the counter
+/// is at or past the stored byte count. A loop that leaps a busy
+/// controller ([`MemoryController::advance_busy`]) stops at the first
+/// cycle any of its clients' watches is reached, because that is the
+/// first cycle at which the client can act.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Watch {
+    /// [`MemoryController::serviced_bytes`] of the stream.
+    Serviced(StreamId, Bytes),
+    /// The class's bytes in [`MemoryController::stats`].
+    Class(TrafficClass, Bytes),
 }
 
 /// The memory controller. See the module docs for the model.
@@ -46,10 +77,12 @@ pub struct MemoryController {
     service_rate: f64,
     issue_rate: f64,
     dram_capacity: usize,
-    policy: Box<dyn ArbitrationPolicy>,
+    policy: ArbitrationPolicy,
     compute_q: VecDeque<Batch>,
     comm_q: VecDeque<Batch>,
-    dram_q: VecDeque<QueuedTxn>,
+    dram_q: VecDeque<Run>,
+    /// Transactions in `dram_q` (the sum of its run counts).
+    dram_len: usize,
     issue_credit: f64,
     service_credit: f64,
     stream_switch_penalty: f64,
@@ -69,7 +102,7 @@ pub struct MemoryController {
 impl MemoryController {
     /// Creates a controller for the memory system in `cfg`, arbitrated
     /// by `policy`.
-    pub fn new(cfg: &MemConfig, policy: Box<dyn ArbitrationPolicy>) -> Self {
+    pub fn new(cfg: &MemConfig, policy: impl Into<ArbitrationPolicy>) -> Self {
         let service_rate = cfg.txns_per_cycle();
         MemoryController {
             txn_bytes: cfg.txn_bytes,
@@ -79,10 +112,11 @@ impl MemoryController {
             // what T3-MCA manages.
             issue_rate: service_rate * 2.0,
             dram_capacity: cfg.dram_queue_capacity,
-            policy,
+            policy: policy.into(),
             compute_q: VecDeque::new(),
             comm_q: VecDeque::new(),
             dram_q: VecDeque::new(),
+            dram_len: 0,
             issue_credit: 0.0,
             service_credit: 0.0,
             stream_switch_penalty: cfg.stream_switch_penalty,
@@ -160,115 +194,231 @@ impl MemoryController {
     pub fn step_traced(
         &mut self,
         now: Cycle,
-        mut timeseries: Option<&mut TimeSeries>,
+        timeseries: Option<&mut TimeSeries>,
         ins: Option<&mut Instruments>,
     ) {
         if let Some(ins) = ins {
-            let depth = self.dram_q.len() as u64;
-            if let Some(tracer) = ins.tracer.as_mut() {
-                if tracer.mc_sample_due(now) {
-                    let comm_depth = self
-                        .dram_q
-                        .iter()
-                        .filter(|t| t.stream == StreamId::Comm)
-                        .count() as u64;
-                    tracer.record(
-                        now,
-                        Event::McQueueDepth {
-                            depth,
-                            comm_depth,
-                            capacity: self.dram_capacity as u64,
-                        },
-                    );
-                    ins.observe("mc.queue_depth", depth);
-                }
-            }
+            self.sample_depth(now, ins);
         }
         self.policy.tick();
-
-        // Frontend: move transactions from stream FIFOs into the DRAM
-        // queue, as arbitration allows.
-        self.issue_credit = (self.issue_credit + self.issue_rate).min(self.issue_rate * 2.0);
-        while self.issue_credit >= 1.0 && self.dram_q.len() < self.dram_capacity {
-            let state = ArbiterState {
-                compute_pending: !self.compute_q.is_empty(),
-                comm_pending: !self.comm_q.is_empty(),
-                dram_occupancy: self.dram_q.len(),
-                dram_capacity: self.dram_capacity,
-            };
-            let Some(stream) = self.policy.choose(&state) else {
-                break;
-            };
-            let txn = self.pop_txn(stream);
-            self.dram_q.push_back(txn);
-            self.policy.on_issue(stream);
-            self.issue_credit -= 1.0;
-        }
-
-        // DRAM: drain the queue at the service rate. Bandwidth cannot
-        // be banked while the queue is empty.
-        if self.dram_q.is_empty() {
-            self.service_credit = 0.0;
-        } else {
-            self.service_credit += self.service_rate;
-            while let Some(head) = self.dram_q.front() {
-                // Switching between unrelated access streams loses
-                // row-buffer locality: the first transaction after a
-                // switch costs extra (see MemConfig docs).
-                let switch = self
-                    .last_serviced_stream
-                    .is_some_and(|last| last != head.stream);
-                let cost = head.cost
-                    + if switch {
-                        self.stream_switch_penalty
-                    } else {
-                        0.0
-                    };
-                if self.service_credit < cost {
-                    break;
-                }
-                self.stream_switches += switch as u64;
-                let txn = *head;
-                self.dram_q.pop_front();
-                self.service_credit -= cost;
-                self.last_serviced_stream = Some(txn.stream);
-                match txn.stream {
-                    StreamId::Compute => self.serviced_compute += txn.bytes,
-                    StreamId::Comm => self.serviced_comm += txn.bytes,
-                }
-                self.stats.record(txn.class, txn.bytes);
-                if let Some(ts) = timeseries.as_deref_mut() {
-                    ts.record(now, txn.class, txn.bytes);
-                }
-            }
-        }
-
-        self.occupancy_accum += self.dram_q.len() as u64;
+        self.step_issue();
+        self.step_service(now, timeseries);
+        self.occupancy_accum += self.dram_len as u64;
         self.occupancy_samples += 1;
     }
 
-    fn pop_txn(&mut self, stream: StreamId) -> QueuedTxn {
-        let (queue, pending) = match stream {
-            StreamId::Compute => (&mut self.compute_q, &mut self.pending_compute),
-            StreamId::Comm => (&mut self.comm_q, &mut self.pending_comm),
-        };
-        // t3-lint: allow(panic-reachable) -- `step_traced` asks the policy only with each stream's pending flag, and every policy picks a stream whose flag is set
-        let batch = queue.front_mut().expect("policy chose an empty stream");
-        let bytes = batch.remaining_bytes.min(self.txn_bytes);
-        batch.remaining_bytes -= bytes;
-        batch.remaining_txns -= 1;
-        *pending -= bytes;
-        let txn = QueuedTxn {
-            stream,
-            class: batch.class,
-            bytes,
-            cost: batch.cost_each,
-        };
-        if batch.remaining_txns == 0 {
-            debug_assert_eq!(batch.remaining_bytes, 0);
-            queue.pop_front();
+    /// Records the queue-depth sample due at `now`, if any.
+    fn sample_depth(&self, now: Cycle, ins: &mut Instruments) {
+        let depth = self.dram_len as u64;
+        if let Some(tracer) = ins.tracer.as_mut() {
+            if tracer.mc_sample_due(now) {
+                let comm_depth = self
+                    .dram_q
+                    .iter()
+                    .filter(|r| r.stream == StreamId::Comm)
+                    .map(|r| r.count)
+                    .sum();
+                tracer.record(
+                    now,
+                    Event::McQueueDepth {
+                        depth,
+                        comm_depth,
+                        capacity: self.dram_capacity as u64,
+                    },
+                );
+                ins.observe("mc.queue_depth", depth);
+            }
         }
-        txn
+    }
+
+    /// Frontend: moves transactions from the stream FIFOs into the DRAM
+    /// queue, as arbitration allows. Each decision issues a run of the
+    /// pick: as many transactions as the pick holds for, the queue has
+    /// room for, the issue credit covers (one credit each, subtracted
+    /// one at a time) and the front batch has left at one size (a
+    /// batch's short tail transaction is a run of its own).
+    fn step_issue(&mut self) {
+        self.issue_credit = (self.issue_credit + self.issue_rate).min(self.issue_rate * 2.0);
+        while self.issue_credit >= 1.0 && self.dram_len < self.dram_capacity {
+            let state = ArbiterState {
+                compute_pending: !self.compute_q.is_empty(),
+                comm_pending: !self.comm_q.is_empty(),
+                dram_occupancy: self.dram_len,
+                dram_capacity: self.dram_capacity,
+            };
+            let Some((stream, hold)) = self.policy.pick(&state) else {
+                break;
+            };
+            let (queue, pending) = match stream {
+                StreamId::Compute => (&mut self.compute_q, &mut self.pending_compute),
+                StreamId::Comm => (&mut self.comm_q, &mut self.pending_comm),
+            };
+            // Every policy picks only a stream whose pending flag is
+            // set, so the front batch exists.
+            let Some(batch) = queue.front_mut() else {
+                break;
+            };
+            let full = batch.remaining_bytes / self.txn_bytes;
+            let (bytes, same_size) = if full == 0 {
+                (batch.remaining_bytes, 1)
+            } else {
+                (self.txn_bytes, full)
+            };
+            let room = (self.dram_capacity - self.dram_len) as u64;
+            let want = hold.min(room).min(same_size);
+            let mut n = 0;
+            while n < want && self.issue_credit >= 1.0 {
+                self.issue_credit -= 1.0;
+                n += 1;
+            }
+            let class = batch.class;
+            let cost = batch.cost_each;
+            batch.remaining_bytes -= n * bytes;
+            batch.remaining_txns -= n;
+            *pending -= n * bytes;
+            if batch.remaining_txns == 0 {
+                debug_assert_eq!(batch.remaining_bytes, 0);
+                queue.pop_front();
+            }
+            match self.dram_q.back_mut() {
+                Some(run) if run.extends(stream, class, bytes, cost) => run.count += n,
+                _ => self.dram_q.push_back(Run {
+                    stream,
+                    class,
+                    bytes,
+                    cost,
+                    count: n,
+                }),
+            }
+            self.dram_len += n as usize;
+            self.policy.on_issue(stream);
+        }
+    }
+
+    /// DRAM: drains the queue at the service rate, transaction by
+    /// transaction (the credit arithmetic is per transaction), and
+    /// books each run's serviced slice once. Bandwidth cannot be banked
+    /// while the queue is empty.
+    fn step_service(&mut self, now: Cycle, mut timeseries: Option<&mut TimeSeries>) {
+        if self.dram_q.is_empty() {
+            self.service_credit = 0.0;
+            return;
+        }
+        self.service_credit += self.service_rate;
+        while let Some(&run) = self.dram_q.front() {
+            // Switching between unrelated access streams loses
+            // row-buffer locality: the first transaction after a
+            // switch costs extra (see MemConfig docs).
+            let switch = self
+                .last_serviced_stream
+                .is_some_and(|last| last != run.stream);
+            let cost = run.cost
+                + if switch {
+                    self.stream_switch_penalty
+                } else {
+                    0.0
+                };
+            if self.service_credit < cost {
+                break;
+            }
+            self.service_credit -= cost;
+            let mut served = 1;
+            while served < run.count && self.service_credit >= run.cost {
+                self.service_credit -= run.cost;
+                served += 1;
+            }
+            self.stream_switches += switch as u64;
+            self.last_serviced_stream = Some(run.stream);
+            let bytes = served * run.bytes;
+            match run.stream {
+                StreamId::Compute => self.serviced_compute += bytes,
+                StreamId::Comm => self.serviced_comm += bytes,
+            }
+            self.stats.record(run.class, bytes);
+            if let Some(ts) = timeseries.as_deref_mut() {
+                ts.record(now, run.class, bytes);
+            }
+            self.dram_len -= served as usize;
+            if served < run.count {
+                if let Some(front) = self.dram_q.front_mut() {
+                    front.count -= served;
+                }
+                break;
+            }
+            self.dram_q.pop_front();
+        }
+    }
+
+    /// Steps the controller itself, cycle by cycle from `from`, exactly
+    /// as that many [`MemoryController::step_traced`] calls, and
+    /// returns the last cycle stepped: the first at which a watch in
+    /// `watches` is reached, the controller is idle, or the next cycle
+    /// is `horizon` (a client's next timed event). An engine loop whose
+    /// other components are inert until one of those leaps its busy
+    /// controller this way, then steps the others at the returned
+    /// cycle. `from` must lie before `horizon`.
+    pub fn advance_busy(
+        &mut self,
+        from: Cycle,
+        horizon: Cycle,
+        watches: &[Option<Watch>],
+        mut timeseries: Option<&mut TimeSeries>,
+        mut ins: Option<&mut Instruments>,
+    ) -> Cycle {
+        debug_assert!(from < horizon, "busy leap to a past horizon");
+        let mut now = from;
+        loop {
+            self.step_traced(now, timeseries.as_deref_mut(), reborrow(&mut ins));
+            let watched = watches.iter().flatten().any(|&w| self.reached(w));
+            if watched || self.is_idle() || now + 1 >= horizon {
+                return now;
+            }
+            now += 1;
+        }
+    }
+
+    /// Moves `clock` past the cycle the loop just stepped: the one way
+    /// the single-device loops advance time. With the controller idle
+    /// the clock advances as [`Clock::advance`] says, and a leaped gap
+    /// is replayed with [`MemoryController::skip_idle`]. With it busy
+    /// and the earliest component event (`next_event`, asked only in
+    /// fast-forward mode) beyond the next cycle, the controller leaps
+    /// itself there with [`MemoryController::advance_busy`], stopping
+    /// early at any of `watches`, and the clock lands on its last
+    /// cycle. Otherwise the clock moves one cycle. Returns the cycles
+    /// a busy leap stepped, 0 for none; when nonzero the controller
+    /// has already stepped [`Clock::now`] and the loop must not step
+    /// it there again.
+    pub fn advance_clock(
+        &mut self,
+        clock: &mut Clock,
+        next_event: impl FnOnce(&Self) -> Option<Cycle>,
+        watches: &[Option<Watch>],
+        timeseries: Option<&mut TimeSeries>,
+        ins: Option<&mut Instruments>,
+    ) -> Cycle {
+        let now = clock.now();
+        if self.is_idle() {
+            if let Some(gap) = clock.advance(true, || next_event(self)) {
+                self.skip_idle(gap.start, gap.end, ins);
+            }
+            return 0;
+        }
+        let Some(horizon) = clock.busy_horizon(|| next_event(self)) else {
+            let _ = clock.advance(false, || None);
+            return 0;
+        };
+        let at = self.advance_busy(now + 1, horizon, watches, timeseries, ins);
+        clock.land(at);
+        at - now
+    }
+
+    /// Whether the counter `watch` names has reached its target.
+    fn reached(&self, watch: Watch) -> bool {
+        match watch {
+            Watch::Serviced(stream, target) => self.serviced_bytes(stream) >= target,
+            Watch::Class(class, target) => self.stats.bytes(class) >= target,
+        }
     }
 
     /// Bytes fully serviced by DRAM for `stream` so far.
@@ -358,7 +508,7 @@ impl MemoryController {
 
     /// Current DRAM queue occupancy in transactions.
     pub fn dram_occupancy(&self) -> usize {
-        self.dram_q.len()
+        self.dram_len
     }
 
     /// Per-class serviced traffic so far.
@@ -425,7 +575,7 @@ mod tests {
     #[test]
     fn drains_single_stream_at_service_rate() {
         let cfg = mem_cfg();
-        let mut mc = MemoryController::new(&cfg, Box::new(ComputeFirstPolicy::new()));
+        let mut mc = MemoryController::new(&cfg, ComputeFirstPolicy::new());
         let bytes: Bytes = 1_000_000;
         mc.enqueue(StreamId::Compute, TrafficClass::GemmRead, bytes, 1.0);
         let cycles = run_until_idle(&mut mc);
@@ -441,11 +591,11 @@ mod tests {
     fn nmc_updates_cost_more_service_time() {
         let cfg = mem_cfg();
         let bytes: Bytes = 2_000_000;
-        let mut plain = MemoryController::new(&cfg, Box::new(ComputeFirstPolicy::new()));
+        let mut plain = MemoryController::new(&cfg, ComputeFirstPolicy::new());
         plain.enqueue(StreamId::Comm, TrafficClass::RsWrite, bytes, 1.0);
         let t_plain = run_until_idle(&mut plain);
 
-        let mut nmc = MemoryController::new(&cfg, Box::new(ComputeFirstPolicy::new()));
+        let mut nmc = MemoryController::new(&cfg, ComputeFirstPolicy::new());
         nmc.enqueue(StreamId::Comm, TrafficClass::RsUpdate, bytes, 1.5);
         let t_nmc = run_until_idle(&mut nmc);
         let ratio = t_nmc as f64 / t_plain as f64;
@@ -459,7 +609,7 @@ mod tests {
     fn compute_first_lets_compute_finish_sooner_than_round_robin() {
         let cfg = mem_cfg();
         let bytes: Bytes = 1_000_000;
-        let compute_done = |policy: Box<dyn ArbitrationPolicy>| {
+        let compute_done = |policy: ArbitrationPolicy| {
             let mut mc = MemoryController::new(&cfg, policy);
             mc.enqueue(StreamId::Compute, TrafficClass::GemmRead, bytes, 1.0);
             mc.enqueue(StreamId::Comm, TrafficClass::RsRead, bytes, 1.0);
@@ -470,8 +620,8 @@ mod tests {
             }
             now
         };
-        let rr = compute_done(Box::new(RoundRobinPolicy::new()));
-        let cf = compute_done(Box::new(ComputeFirstPolicy::new()));
+        let rr = compute_done(RoundRobinPolicy::new().into());
+        let cf = compute_done(ComputeFirstPolicy::new().into());
         assert!(
             (cf as f64) < (rr as f64) * 0.7,
             "compute-first {cf} should beat round-robin {rr} clearly"
@@ -482,7 +632,7 @@ mod tests {
     fn mca_throttles_comm_while_compute_is_active() {
         let cfg = mem_cfg();
         let bytes: Bytes = 500_000;
-        let mut mc = MemoryController::new(&cfg, Box::new(McaPolicy::with_fixed_threshold(5)));
+        let mut mc = MemoryController::new(&cfg, McaPolicy::with_fixed_threshold(5));
         // Comm arrives first (bursty RS traffic), compute follows.
         mc.enqueue(StreamId::Comm, TrafficClass::RsUpdate, bytes, 1.0);
         mc.enqueue(StreamId::Compute, TrafficClass::GemmRead, bytes, 1.0);
@@ -503,7 +653,7 @@ mod tests {
     #[test]
     fn stats_record_by_class() {
         let cfg = mem_cfg();
-        let mut mc = MemoryController::new(&cfg, Box::new(ComputeFirstPolicy::new()));
+        let mut mc = MemoryController::new(&cfg, ComputeFirstPolicy::new());
         mc.enqueue(StreamId::Compute, TrafficClass::GemmWrite, 10_000, 1.0);
         mc.enqueue(StreamId::Comm, TrafficClass::AgRead, 20_000, 1.0);
         run_until_idle(&mut mc);
@@ -514,7 +664,7 @@ mod tests {
     #[test]
     fn timeseries_receives_service_events() {
         let cfg = mem_cfg();
-        let mut mc = MemoryController::new(&cfg, Box::new(ComputeFirstPolicy::new()));
+        let mut mc = MemoryController::new(&cfg, ComputeFirstPolicy::new());
         let mut ts = TimeSeries::new(16);
         mc.enqueue(StreamId::Compute, TrafficClass::GemmRead, 100_000, 1.0);
         let mut now = 0;
@@ -529,7 +679,7 @@ mod tests {
     #[test]
     fn occupancy_probe_reflects_load() {
         let cfg = mem_cfg();
-        let mut mc = MemoryController::new(&cfg, Box::new(ComputeFirstPolicy::new()));
+        let mut mc = MemoryController::new(&cfg, ComputeFirstPolicy::new());
         // Idle controller: zero occupancy.
         for now in 0..100 {
             mc.step(now, None);
@@ -546,7 +696,7 @@ mod tests {
     #[test]
     fn partial_final_transaction_preserves_byte_totals() {
         let cfg = mem_cfg();
-        let mut mc = MemoryController::new(&cfg, Box::new(ComputeFirstPolicy::new()));
+        let mut mc = MemoryController::new(&cfg, ComputeFirstPolicy::new());
         // 1000 bytes is not a multiple of 256.
         mc.enqueue(StreamId::Compute, TrafficClass::GemmRead, 1000, 1.0);
         run_until_idle(&mut mc);
@@ -557,7 +707,7 @@ mod tests {
     #[test]
     fn zero_byte_enqueue_is_noop() {
         let cfg = mem_cfg();
-        let mut mc = MemoryController::new(&cfg, Box::new(ComputeFirstPolicy::new()));
+        let mut mc = MemoryController::new(&cfg, ComputeFirstPolicy::new());
         mc.enqueue(StreamId::Comm, TrafficClass::RsRead, 0, 1.0);
         assert!(mc.is_idle());
     }
@@ -566,7 +716,7 @@ mod tests {
     #[should_panic(expected = "cost multiplier")]
     fn sub_unit_cost_rejected() {
         let cfg = mem_cfg();
-        let mut mc = MemoryController::new(&cfg, Box::new(ComputeFirstPolicy::new()));
+        let mut mc = MemoryController::new(&cfg, ComputeFirstPolicy::new());
         mc.enqueue(StreamId::Comm, TrafficClass::RsRead, 100, 0.5);
     }
 
@@ -578,14 +728,14 @@ mod tests {
         // only once.
         let cfg = mem_cfg();
         let bytes: Bytes = 1_000_000;
-        let run = |policy: Box<dyn ArbitrationPolicy>| {
+        let run = |policy: ArbitrationPolicy| {
             let mut mc = MemoryController::new(&cfg, policy);
             mc.enqueue(StreamId::Compute, TrafficClass::GemmRead, bytes, 1.0);
             mc.enqueue(StreamId::Comm, TrafficClass::RsRead, bytes, 1.0);
             run_until_idle(&mut mc)
         };
-        let rr = run(Box::new(RoundRobinPolicy::new()));
-        let cf = run(Box::new(ComputeFirstPolicy::new()));
+        let rr = run(RoundRobinPolicy::new().into());
+        let cf = run(ComputeFirstPolicy::new().into());
         let ideal = 2.0 * bytes as f64 / cfg.bytes_per_cycle();
         assert!(
             (cf as f64) < ideal * 1.05,
@@ -601,7 +751,7 @@ mod tests {
     #[test]
     fn step_traced_samples_queue_depth_and_counts_switches() {
         let cfg = mem_cfg();
-        let mut mc = MemoryController::new(&cfg, Box::new(RoundRobinPolicy::new()));
+        let mut mc = MemoryController::new(&cfg, RoundRobinPolicy::new());
         mc.enqueue(StreamId::Compute, TrafficClass::GemmRead, 500_000, 1.0);
         mc.enqueue(StreamId::Comm, TrafficClass::RsRead, 500_000, 1.0);
         let mut ins = Instruments::full();
@@ -625,7 +775,7 @@ mod tests {
     fn step_traced_none_matches_step() {
         let cfg = mem_cfg();
         let run = |traced: bool| {
-            let mut mc = MemoryController::new(&cfg, Box::new(RoundRobinPolicy::new()));
+            let mut mc = MemoryController::new(&cfg, RoundRobinPolicy::new());
             mc.enqueue(StreamId::Compute, TrafficClass::GemmRead, 300_000, 1.0);
             mc.enqueue(StreamId::Comm, TrafficClass::RsUpdate, 200_000, 1.5);
             let mut now = 0;
@@ -645,7 +795,7 @@ mod tests {
     #[test]
     fn next_event_is_the_exact_next_state_change() {
         let cfg = mem_cfg();
-        let mut mc = MemoryController::new(&cfg, Box::new(ComputeFirstPolicy::new()));
+        let mut mc = MemoryController::new(&cfg, ComputeFirstPolicy::new());
         assert_eq!(mc.next_event(7), None, "idle controller has no events");
         mc.enqueue(StreamId::Compute, TrafficClass::GemmRead, 1_000, 1.0);
         let mut now = 0;
@@ -679,7 +829,7 @@ mod tests {
     /// busy prefix, so credits, the tracer schedule and the arbitration
     /// policy all hold mid-run values; returns the first idle cycle.
     fn idle_after_busy_prefix(cfg: &MemConfig) -> (MemoryController, Instruments, Cycle) {
-        let mut mc = MemoryController::new(cfg, Box::new(McaPolicy::with_fixed_threshold(5)));
+        let mut mc = MemoryController::new(cfg, McaPolicy::with_fixed_threshold(5));
         let mut ins = Instruments::full();
         mc.enqueue(StreamId::Compute, TrafficClass::GemmRead, 100_000, 1.0);
         mc.enqueue(StreamId::Comm, TrafficClass::RsUpdate, 50_000, 1.5);
@@ -802,7 +952,7 @@ mod tests {
     #[test]
     fn empty_skip_idle_is_a_no_op_even_on_a_busy_controller() {
         let cfg = mem_cfg();
-        let mut mc = MemoryController::new(&cfg, Box::new(RoundRobinPolicy::new()));
+        let mut mc = MemoryController::new(&cfg, RoundRobinPolicy::new());
         mc.enqueue(StreamId::Compute, TrafficClass::GemmRead, 10_000, 1.0);
         mc.step(0, None);
         let before = format!("{mc:?}");
@@ -816,7 +966,7 @@ mod tests {
         let mut cfg = mem_cfg();
         cfg.stream_switch_penalty = 0.0;
         let bytes: Bytes = 1_000_000;
-        let mut mc = MemoryController::new(&cfg, Box::new(RoundRobinPolicy::new()));
+        let mut mc = MemoryController::new(&cfg, RoundRobinPolicy::new());
         mc.enqueue(StreamId::Compute, TrafficClass::GemmRead, bytes, 1.0);
         mc.enqueue(StreamId::Comm, TrafficClass::RsRead, bytes, 1.0);
         let cycles = run_until_idle(&mut mc);

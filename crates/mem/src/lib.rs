@@ -26,7 +26,7 @@
 //! use t3_sim::stats::TrafficClass;
 //!
 //! let cfg = SystemConfig::paper_default().mem;
-//! let mut mc = MemoryController::new(&cfg, Box::new(McaPolicy::new(&cfg)));
+//! let mut mc = MemoryController::new(&cfg, McaPolicy::new(&cfg));
 //! mc.enqueue(StreamId::Compute, TrafficClass::GemmRead, 4096, 1.0);
 //! let mut now = 0;
 //! while !mc.is_idle() {

@@ -43,14 +43,18 @@ pub struct Llc {
     line_bytes: Bytes,
     sets: u64,
     ways: usize,
-    /// `lines[set * ways + way]`: the way's tag shifted left by one,
-    /// with its dirty bit in bit 0 (a tag fits in 63 bits for any line
-    /// of 2 bytes or more). Ways fill in index order, so a set's valid
-    /// ways are always its first `filled[set]` (the test-only `flush`
-    /// empties every set at once).
+    /// `lines[set * ways + way]`: the global line number (address ÷
+    /// line size) the way holds. Ways fill in index order, so a set's
+    /// valid ways are always its first `filled[set]` (the test-only
+    /// `flush` empties every set at once).
     lines: Vec<u64>,
     /// Valid ways per set.
     filled: Vec<usize>,
+    /// Residency bit per global line number, grown to the highest line
+    /// walked: a lookup is one bit test instead of a scan of the set.
+    resident: Vec<u64>,
+    /// Dirty bit per global line number (set only for resident lines).
+    dirty: Vec<u64>,
     /// LRU stamp per way (larger = more recently used); empty under
     /// random replacement, which never reads them.
     stamps: Vec<u64>,
@@ -63,8 +67,10 @@ pub struct Llc {
     rng: u64,
 }
 
-/// Bit 0 of a line word: the line is dirty.
-const DIRTY: u64 = 1;
+/// The word and bit of `line` in a per-line bitset.
+fn bit_of(line: u64) -> (usize, u64) {
+    ((line >> 6) as usize, 1 << (line & 63))
+}
 
 impl Llc {
     /// Builds the LLC described by `cfg` (16 MB, 16-way, 256 B lines in
@@ -83,6 +89,8 @@ impl Llc {
             ways,
             lines: vec![0; lines],
             filled: vec![0; sets as usize],
+            resident: Vec::new(),
+            dirty: Vec::new(),
             stamps,
             tick: 0,
             hits: 0,
@@ -103,18 +111,36 @@ impl Llc {
         self.misses
     }
 
-    /// Accesses the line with `tag` in `set`. Returns `true` on hit. A
-    /// miss allocates the line, possibly evicting a dirty victim (a
-    /// write-back, drained by [`Llc::take_writeback_bytes`]).
-    fn access_line(&mut self, set: usize, tag: u64, kind: AccessKind) -> bool {
+    /// Grows the per-line bitsets to cover line `last`.
+    fn cover(&mut self, last: u64) {
+        let words = bit_of(last).0 + 1;
+        if self.resident.len() < words {
+            self.resident.resize(words, 0);
+            self.dirty.resize(words, 0);
+        }
+    }
+
+    /// Accesses global line `line`, which maps to `set` (the bitsets
+    /// must cover it). Returns `true` on hit. A miss allocates the
+    /// line, possibly evicting a dirty victim (a write-back, drained by
+    /// [`Llc::take_writeback_bytes`]).
+    fn access_line(&mut self, set: usize, line: u64, kind: AccessKind) -> bool {
+        let (word, bit) = bit_of(line);
+        let write = kind == AccessKind::Write;
         let base = set * self.ways;
         let filled = self.filled[set];
-        let key = tag << 1;
-        let dirty = u64::from(kind == AccessKind::Write);
-        let valid = &mut self.lines[base..base + filled];
-        if let Some(way) = valid.iter().position(|&w| w & !DIRTY == key) {
-            valid[way] |= dirty;
-            self.touch(base + way);
+        if self.resident[word] & bit != 0 {
+            if write {
+                self.dirty[word] |= bit;
+            }
+            if self.replacement == LlcReplacement::Lru {
+                // A resident line sits in one of its set's valid ways.
+                let way = self.lines[base..base + filled]
+                    .iter()
+                    .position(|&l| l == line)
+                    .unwrap_or(0);
+                self.touch(base + way);
+            }
             self.hits += 1;
             return true;
         }
@@ -126,10 +152,17 @@ impl Llc {
             filled
         } else {
             let victim = self.victim(base);
-            self.writebacks += self.lines[base + victim] & DIRTY;
+            let (w, b) = bit_of(self.lines[base + victim]);
+            self.writebacks += u64::from(self.dirty[w] & b != 0);
+            self.resident[w] &= !b;
+            self.dirty[w] &= !b;
             victim
         };
-        self.lines[base + victim] = key | dirty;
+        self.lines[base + victim] = line;
+        self.resident[word] |= bit;
+        if write {
+            self.dirty[word] |= bit;
+        }
         self.touch(base + victim);
         false
     }
@@ -178,11 +211,11 @@ impl Llc {
         }
         let first = start / self.line_bytes;
         let last = (start + bytes - 1) / self.line_bytes;
-        // Consecutive lines walk the sets in order; the tag moves on
-        // each time the set index wraps.
-        let (mut set, mut tag) = (first % self.sets, first / self.sets);
-        for _ in first..=last {
-            let hit = self.access_line(set as usize, tag, kind);
+        self.cover(last);
+        // Consecutive lines walk the sets in order.
+        let mut set = first % self.sets;
+        for line in first..=last {
+            let hit = self.access_line(set as usize, line, kind);
             if hit {
                 result.hit_bytes += self.line_bytes;
             } else if kind == AccessKind::Read {
@@ -194,7 +227,6 @@ impl Llc {
             set += 1;
             if set == self.sets {
                 set = 0;
-                tag += 1;
             }
         }
         result
@@ -204,13 +236,8 @@ impl Llc {
     /// visibility) and returns the bytes written back to DRAM. Lines
     /// stay valid (clean), so later readers can still hit.
     pub fn flush_dirty(&mut self) -> Bytes {
-        let mut lines = 0u64;
-        for (set, ways) in self.lines.chunks_exact_mut(self.ways).enumerate() {
-            for w in &mut ways[..self.filled[set]] {
-                lines += *w & DIRTY;
-                *w &= !DIRTY;
-            }
-        }
+        let lines: u64 = self.dirty.iter().map(|w| u64::from(w.count_ones())).sum();
+        self.dirty.fill(0);
         lines * self.line_bytes
     }
 
@@ -242,12 +269,15 @@ impl Llc {
     /// Invalidates the entire cache.
     fn flush(&mut self) {
         self.filled.fill(0);
+        self.resident.fill(0);
+        self.dirty.fill(0);
     }
 
     /// Accesses one line-aligned address. Returns `true` on hit.
     fn access(&mut self, addr: u64, kind: AccessKind) -> bool {
         let line = addr / self.line_bytes;
-        self.access_line((line % self.sets) as usize, line / self.sets, kind)
+        self.cover(line);
+        self.access_line((line % self.sets) as usize, line, kind)
     }
 
     fn valid_lines(&self) -> usize {

@@ -30,13 +30,13 @@ fn gen_reqs(rng: &mut SplitMix64, max_len: usize) -> Vec<Req> {
         .collect()
 }
 
-fn policies() -> Vec<Box<dyn ArbitrationPolicy>> {
+fn policies() -> Vec<ArbitrationPolicy> {
     let cfg = SystemConfig::paper_default().mem;
     vec![
-        Box::new(RoundRobinPolicy::new()),
-        Box::new(ComputeFirstPolicy::new()),
-        Box::new(McaPolicy::new(&cfg)),
-        Box::new(McaPolicy::with_fixed_threshold(5)),
+        RoundRobinPolicy::new().into(),
+        ComputeFirstPolicy::new().into(),
+        McaPolicy::new(&cfg).into(),
+        McaPolicy::with_fixed_threshold(5).into(),
     ]
 }
 
@@ -104,7 +104,7 @@ fn timing_bounds() {
         let compute_bytes = rng.gen_range(10_000, 2_000_000);
         let comm_bytes = rng.gen_range(10_000, 2_000_000);
         let cfg = SystemConfig::paper_default().mem;
-        let mut mc = MemoryController::new(&cfg, Box::new(RoundRobinPolicy::new()));
+        let mut mc = MemoryController::new(&cfg, RoundRobinPolicy::new());
         mc.enqueue(
             StreamId::Compute,
             TrafficClass::GemmRead,
@@ -139,7 +139,7 @@ fn serviced_bytes_monotone() {
         let mut rng = SplitMix64::new(seed);
         let reqs = gen_reqs(&mut rng, 10);
         let cfg = SystemConfig::paper_default().mem;
-        let mut mc = MemoryController::new(&cfg, Box::new(ComputeFirstPolicy::new()));
+        let mut mc = MemoryController::new(&cfg, ComputeFirstPolicy::new());
         for r in &reqs {
             let stream = if r.compute {
                 StreamId::Compute
@@ -160,6 +160,96 @@ fn serviced_bytes_monotone() {
             last = cur;
             now += 1;
             assert!(now < 50_000_000, "seed {seed}");
+        }
+    }
+}
+
+/// `advance_busy` is exactly one-cycle stepping: from any busy state,
+/// under every policy (MCA with a short starvation guard too), it stops
+/// at the first cycle a watch on any counter is reached, the
+/// controller drains, or the horizon is next, and leaves the controller,
+/// its time series and its instruments exactly as stepping does.
+#[test]
+fn advance_busy_equals_one_cycle_stepping() {
+    use t3_mem::controller::Watch;
+    use t3_sim::timeseries::TimeSeries;
+    use t3_trace::Instruments;
+
+    let cfg = SystemConfig::paper_default().mem;
+    let mut all = policies();
+    all.push(
+        McaPolicy::with_fixed_threshold(10)
+            .with_starvation_limit(40)
+            .into(),
+    );
+    for seed in 0..24u64 {
+        for policy in &all {
+            let mut rng = SplitMix64::new(seed);
+            let mut stepped = MemoryController::new(&cfg, policy.clone());
+            let mut leaped = MemoryController::new(&cfg, policy.clone());
+            let (mut ts_s, mut ts_l) = (TimeSeries::new(64), TimeSeries::new(64));
+            let (mut ins_s, mut ins_l) = (Instruments::full(), Instruments::full());
+            let mut now = 0u64;
+            for round in 0..10 {
+                for r in gen_reqs(&mut rng, 5) {
+                    let stream = if r.compute {
+                        StreamId::Compute
+                    } else {
+                        StreamId::Comm
+                    };
+                    let class = TrafficClass::ALL[r.class_idx];
+                    let cost = if r.nmc { cfg.nmc_cost_multiplier } else { 1.0 };
+                    stepped.enqueue(stream, class, r.bytes, cost);
+                    leaped.enqueue(stream, class, r.bytes, cost);
+                }
+                if round == 3 {
+                    stepped.observe_compute_intensity(0.3);
+                    leaped.observe_compute_intensity(0.3);
+                }
+                let ahead = |rng: &mut SplitMix64, at: u64| at + rng.gen_range(0, 400_000);
+                let class = TrafficClass::ALL[rng.gen_range_usize(0, TrafficClass::ALL.len())];
+                let watches = [
+                    Some(Watch::Serviced(
+                        StreamId::Compute,
+                        ahead(&mut rng, stepped.serviced_bytes(StreamId::Compute)),
+                    )),
+                    rng.gen_bool().then(|| {
+                        Watch::Serviced(
+                            StreamId::Comm,
+                            ahead(&mut rng, stepped.serviced_bytes(StreamId::Comm)),
+                        )
+                    }),
+                    Some(Watch::Class(
+                        class,
+                        ahead(&mut rng, stepped.stats().bytes(class)),
+                    )),
+                ];
+                let horizon = now + rng.gen_range(1, 20_000);
+                let at =
+                    leaped.advance_busy(now, horizon, &watches, Some(&mut ts_l), Some(&mut ins_l));
+                let mut t = now;
+                loop {
+                    stepped.step_traced(t, Some(&mut ts_s), Some(&mut ins_s));
+                    let watched = watches.iter().flatten().any(|&w| match w {
+                        Watch::Serviced(stream, target) => stepped.serviced_bytes(stream) >= target,
+                        Watch::Class(class, target) => stepped.stats().bytes(class) >= target,
+                    });
+                    if watched || stepped.is_idle() || t + 1 == horizon {
+                        break;
+                    }
+                    t += 1;
+                }
+                let case = format!("seed {seed} {policy:?} round {round}");
+                assert_eq!(at, t, "{case}");
+                assert_eq!(format!("{leaped:?}"), format!("{stepped:?}"), "{case}");
+                now = at + 1;
+            }
+            assert_eq!(format!("{ts_l:?}"), format!("{ts_s:?}"), "seed {seed}");
+            let trace =
+                |ins: &Instruments| ins.tracer.as_ref().map(|t| format!("{:?}", t.records()));
+            assert_eq!(trace(&ins_l), trace(&ins_s), "seed {seed}");
+            let metrics = |ins: &Instruments| ins.metrics.as_ref().map(|m| m.to_json());
+            assert_eq!(metrics(&ins_l), metrics(&ins_s), "seed {seed}");
         }
     }
 }

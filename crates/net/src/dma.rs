@@ -13,7 +13,7 @@
 use std::collections::VecDeque;
 
 use crate::link::{Delivery, Link};
-use t3_mem::controller::{MemoryController, StreamId};
+use t3_mem::controller::{MemoryController, StreamId, Watch};
 use t3_sim::config::LinkConfig;
 use t3_sim::stats::TrafficClass;
 use t3_sim::{Bytes, Cycle};
@@ -165,7 +165,8 @@ impl DmaEngine {
     /// nothing is pending — an in-flight source read that the memory
     /// controller has not finished servicing reports `None` here
     /// because the controller itself is busy (it holds the un-serviced
-    /// transactions) and already pins the next event at `now + 1`.
+    /// transactions), and a busy leap stops where
+    /// [`DmaEngine::read_watch`] is reached.
     pub fn next_event(&self, now: Cycle, mc: &MemoryController) -> Option<Cycle> {
         let read_event = match self.reading {
             Some(r) if mc.stats().bytes(r.cmd.read_class) >= r.target => Some(now + 1),
@@ -178,6 +179,15 @@ impl DmaEngine {
             (Some(a), None) => Some(a),
             (None, b) => b,
         }
+    }
+
+    /// The controller counter the in-flight source read waits on: its
+    /// read class's serviced bytes reaching the read's target. A busy
+    /// leap must stop where it is reached, because
+    /// [`DmaEngine::next_event`] cannot time it.
+    pub fn read_watch(&self) -> Option<Watch> {
+        self.reading
+            .map(|r| Watch::Class(r.cmd.read_class, r.target))
     }
 
     /// Commands whose payload has been handed to the link (plus
@@ -206,7 +216,7 @@ mod tests {
     fn setup() -> (DmaEngine, MemoryController) {
         let sys = SystemConfig::paper_default();
         let engine = DmaEngine::new(&sys.link);
-        let mc = MemoryController::new(&sys.mem, Box::new(ComputeFirstPolicy::new()));
+        let mc = MemoryController::new(&sys.mem, ComputeFirstPolicy::new());
         (engine, mc)
     }
 

@@ -121,7 +121,7 @@ fn dma_pipeline_conservation() {
             .collect();
         let sys = SystemConfig::paper_default();
         let mut engine = DmaEngine::new(&sys.link);
-        let mut mc = MemoryController::new(&sys.mem, Box::new(ComputeFirstPolicy::new()));
+        let mut mc = MemoryController::new(&sys.mem, ComputeFirstPolicy::new());
         for (i, bytes) in cmds.iter().enumerate() {
             engine.trigger(DmaCommand {
                 id: i as u64,

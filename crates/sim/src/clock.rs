@@ -5,12 +5,17 @@
 //! [`SimMode::FastForward`] with every memory controller quiescent,
 //! leaps straight to the earliest component event and hands back the
 //! skipped gap so the caller can replay the controllers' idle
-//! bookkeeping with `MemoryController::skip_idle`. A loop over many
-//! devices can also skip, cycle by cycle, each one that
-//! [`Clock::due`] says has nothing to do; the skipped device replays
-//! its own gap when it next steps. [`SimMode::Stepped`] runs the same
-//! loop with leaping and skipping off, and the clock alone owns the
-//! convergence guard.
+//! bookkeeping with `MemoryController::skip_idle`. A single-device loop
+//! whose controller is busy can leap too: [`Clock::busy_horizon`] names
+//! the earliest component event, the controller steps itself towards
+//! it with `MemoryController::advance_busy` (stopping early at a cycle
+//! a component watches for), and [`Clock::land`] moves `now` onto the
+//! last cycle it stepped; `MemoryController::advance_clock` wraps both
+//! kinds of leap for those loops. A loop over many devices can also skip,
+//! cycle by cycle, each one that [`Clock::due`] says has nothing to
+//! do; the skipped device replays its own gap when it next steps.
+//! [`SimMode::Stepped`] runs the same loop with leaping and skipping
+//! off, and the clock alone owns the convergence guard.
 
 use std::ops::Range;
 
@@ -118,6 +123,40 @@ impl Clock {
         assert!(self.now < Self::LIMIT, "simulation failed to converge");
         (target > step).then_some(step..target)
     }
+
+    /// The horizon of a busy leap from `now` (already stepped): in
+    /// fast-forward mode, the earliest component event `next_event`
+    /// predicts (clamped to the window end; [`Clock::LIMIT`] when
+    /// nothing is timed), provided it lies beyond `now + 1`. `None` in
+    /// [`SimMode::Stepped`] or when the event is the very next cycle:
+    /// the loop then advances one cycle. The caller leaps only a busy
+    /// controller, through cycles `[now + 1, horizon)` at most, and
+    /// lands on where it stopped with [`Clock::land`].
+    pub fn busy_horizon(&self, next_event: impl FnOnce() -> Option<Cycle>) -> Option<Cycle> {
+        if self.mode != SimMode::FastForward {
+            return None;
+        }
+        let horizon = match (next_event(), self.end) {
+            (Some(t), Some(end)) => t.min(end),
+            (Some(t), None) => t,
+            (None, Some(end)) => end,
+            (None, None) => Self::LIMIT,
+        };
+        (horizon > self.now + 1).then_some(horizon)
+    }
+
+    /// Lands `now` on `at`, the last cycle a busy leap stepped the
+    /// controller through: the loop steps its other components at `at`
+    /// and must not step the controller there a second time.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `at` reaches [`Clock::LIMIT`].
+    pub fn land(&mut self, at: Cycle) {
+        debug_assert!(at > self.now, "a busy leap moves forward");
+        self.now = at;
+        assert!(self.now < Self::LIMIT, "simulation failed to converge");
+    }
 }
 
 #[cfg(test)]
@@ -194,6 +233,27 @@ mod tests {
         assert!(stepped.running());
         assert_eq!(stepped.advance(true, || None), None);
         assert!(!stepped.running());
+    }
+
+    #[test]
+    fn busy_horizon_is_the_next_event_beyond_the_next_cycle() {
+        let stepped = Clock::new(SimMode::Stepped);
+        assert_eq!(
+            stepped.busy_horizon(|| panic!("stepped clock predicted")),
+            None
+        );
+        let mut fast = Clock::new(SimMode::FastForward);
+        let _ = fast.advance(false, || None);
+        assert_eq!(fast.now(), 1);
+        assert_eq!(fast.busy_horizon(|| Some(2)), None);
+        assert_eq!(fast.busy_horizon(|| Some(1)), None);
+        assert_eq!(fast.busy_horizon(|| Some(9)), Some(9));
+        assert_eq!(fast.busy_horizon(|| None), Some(Clock::LIMIT));
+        fast.land(7);
+        assert_eq!(fast.now(), 7);
+        let bounded = Clock::bounded(SimMode::FastForward, 10, 20);
+        assert_eq!(bounded.busy_horizon(|| Some(99)), Some(20));
+        assert_eq!(bounded.busy_horizon(|| None), Some(20));
     }
 
     #[test]

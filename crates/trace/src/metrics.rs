@@ -107,6 +107,7 @@ impl Histogram {
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Histogram>,
+    work: BTreeMap<String, u64>,
 }
 
 impl MetricsRegistry {
@@ -155,6 +156,22 @@ impl MetricsRegistry {
             self.set(&format!("traffic.{}.bytes", class.slug()), bytes);
         }
         self.set("traffic.total.bytes", stats.total());
+    }
+
+    /// Sets the named work counter: a deterministic count of the
+    /// simulator's own work in the run (engine-loop steps, cycles a
+    /// busy controller leaped through), not of the simulated machine.
+    /// Work counters differ between the time-advancement modes by
+    /// design, so the exports ([`MetricsRegistry::to_json`],
+    /// [`MetricsRegistry::to_csv`]), which the modes must produce byte
+    /// for byte alike, leave them out.
+    pub fn set_work(&mut self, name: &str, value: u64) {
+        self.work.insert(name.to_string(), value);
+    }
+
+    /// Current value of a work counter (0 when absent).
+    pub fn work(&self, name: &str) -> u64 {
+        self.work.get(name).copied().unwrap_or(0)
     }
 
     /// Current value of a counter (0 when absent).
@@ -260,6 +277,18 @@ pub fn escape_json(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn work_counters_stay_out_of_the_exports() {
+        let mut m = MetricsRegistry::new();
+        m.set("run.cycles", 9);
+        let (json, csv) = (m.to_json(), m.to_csv());
+        m.set_work("run.loop_steps", 4);
+        assert_eq!(m.work("run.loop_steps"), 4);
+        assert_eq!(m.work("run.busy_leap_cycles"), 0);
+        assert_eq!(m.counter("run.loop_steps"), 0);
+        assert_eq!((m.to_json(), m.to_csv()), (json, csv));
+    }
 
     #[test]
     fn counters_accumulate() {

@@ -155,6 +155,14 @@ impl Instruments {
         }
     }
 
+    /// Sets a work counter (see [`MetricsRegistry::set_work`]) if
+    /// metrics are enabled.
+    pub fn set_work(&mut self, name: &str, value: u64) {
+        if let Some(m) = self.metrics.as_mut() {
+            m.set_work(name, value);
+        }
+    }
+
     /// Records a histogram observation if metrics are enabled.
     pub fn observe(&mut self, name: &str, value: u64) {
         if let Some(m) = self.metrics.as_mut() {
