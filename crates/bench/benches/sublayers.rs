@@ -11,6 +11,9 @@
 //! walk, the one per-line cost left, on the paper-scale matrix shapes.
 //! `mc/busy_cycle/*` times the memory controller on its own: a window
 //! of saturated cycles per policy, with one stream and with two.
+//! `mc/drain/*` times the same one-stream window through
+//! `advance_busy`, uninstrumented, which replays a lone stream's drain
+//! in its tight loop.
 
 use std::hint::black_box;
 use t3_bench::experiments::main_study_models;
@@ -134,6 +137,14 @@ fn bench_busy_controller() {
                 black_box(mc.stats().total())
             });
         }
+        let label = format!("mc/drain/{name}/1_stream");
+        bench(&label, DEFAULT_ITERS, || {
+            let mut mc = MemoryController::new(&cfg, policy.clone());
+            mc.enqueue(StreamId::Compute, TrafficClass::GemmRead, bytes, 1.0);
+            // A far horizon and no watch: the leap ends at the window.
+            let at = mc.advance_busy(0, BUSY_CYCLES, &[], None, None);
+            black_box((at, mc.stats().total()))
+        });
     }
 }
 

@@ -55,8 +55,17 @@
 //!   samples, arbiter wait counters, credit regeneration) in one
 //!   `MemoryController::skip_idle` call just before it next steps, and
 //!   through the final cycle when the run ends.
-//! * When every memory controller of the shard is idle, the clock
-//!   leaps to the earliest device event or pending arrival.
+//! * In fast-forward mode a device that has just stepped with a busy
+//!   controller (and no DMA source read to start next cycle) leaps that
+//!   controller alone with `MemoryController::advance_busy`, up to its
+//!   GEMM's next event, its next arrival or the window end, stopping
+//!   early where its GEMM read, DMA source read or incoming feed front
+//!   is reached. It is skipped until that landing cycle, where its other
+//!   components step without a second controller step. The loop stays
+//!   cycle-major, so sends keep their `(cycle, device)` order.
+//! * When every memory controller of the shard is idle or leaped ahead,
+//!   the clock leaps to the earliest device event, landing or pending
+//!   arrival.
 //!
 //! [`run_multi_gpu_fused_rs_on`] is the driver at one shard: it runs
 //! inline and sends straight into the fabric, so sends keep their
@@ -80,7 +89,7 @@ use crate::tracker::{Tracker, TrackerConfig};
 use t3_gpu::engine::{GemmEngine, GemmEvent};
 use t3_gpu::gemm::GemmGrid;
 use t3_gpu::llc_plan::LlcPlan;
-use t3_mem::controller::{MemoryController, StreamId};
+use t3_mem::controller::{MemoryController, StreamId, Watch};
 use t3_net::ring::Ring;
 use t3_sim::clock::Clock;
 use t3_sim::config::SystemConfig;
@@ -150,8 +159,15 @@ struct Gpu {
     dma_transfers: u64,
     /// The next event as predicted after the device's last step.
     next: Option<Cycle>,
+    /// Set by a busy leap: the controller has already stepped through
+    /// `next`, where the device's other components step next.
+    mc_ahead: bool,
     /// The first cycle the device has neither stepped nor replayed.
     synced: Cycle,
+    /// Work counters: device steps, and controller cycles busy leaps
+    /// stepped.
+    loop_steps: u64,
+    busy_leap_cycles: u64,
 }
 
 impl Gpu {
@@ -354,7 +370,10 @@ fn build_run(
                 // Every device steps at cycle 0, where its GEMM engine
                 // re-anchors its launch.
                 next: Some(0),
+                mc_ahead: false,
                 synced: 0,
+                loop_steps: 0,
+                busy_leap_cycles: 0,
             }
         })
         .collect();
@@ -391,11 +410,12 @@ fn deliver_incoming(
     );
 }
 
-/// One device's full per-cycle step: memory controller, incoming
-/// update attribution, GEMM progress, DMA engine, trigger fires and
-/// completion bookkeeping. Outgoing traffic goes through `sink` so
-/// the sharded engine can defer it to its window barrier. `ins` must
-/// be `Some` only for the instrumented device.
+/// One device's full per-cycle step: memory controller (unless a busy
+/// leap already stepped it here), incoming update attribution, GEMM
+/// progress, DMA engine, trigger fires and completion bookkeeping.
+/// Outgoing traffic goes through `sink` so the sharded engine can
+/// defer it to its window barrier. `ins` must be `Some` only for the
+/// instrumented device.
 fn step_device(
     gpu: &mut Gpu,
     d: usize,
@@ -404,7 +424,10 @@ fn step_device(
     sink: &mut SendSink,
     mut ins: Option<&mut Instruments>,
 ) {
-    gpu.mc.step_traced(now, None, reborrow(&mut ins));
+    gpu.loop_steps += 1;
+    if !std::mem::take(&mut gpu.mc_ahead) {
+        gpu.mc.step_traced(now, None, reborrow(&mut ins));
+    }
 
     // Attribute serviced incoming updates.
     let (chunks, scan) = (&mut gpu.chunks, &mut gpu.scan_triggers);
@@ -555,6 +578,42 @@ fn device_next_event(gpu: &Gpu, now: Cycle) -> Option<Cycle> {
     gpu.gemm.next_event(now, &gpu.mc)
 }
 
+/// In fast-forward mode, leaps the busy controller of a device that
+/// has just stepped at `now` to the cycle before its next event, where
+/// its other components must step again: the earliest of its GEMM's
+/// `next_event`, its next pre-popped arrival (`arrival`) and the
+/// window end, or earlier, the first cycle a watch is reached (the
+/// GEMM's read target, the DMA source read, the incoming feed's front
+/// region). Until then nothing but the controller can act, exactly as
+/// in the mirrored loops. A DMA pop due next cycle pins the device to
+/// one-cycle steps. Returns the cycle the controller stopped at, `None`
+/// for no leap.
+fn leap_busy(
+    gpu: &mut Gpu,
+    now: Cycle,
+    clock: &Clock,
+    arrival: Option<Cycle>,
+    ins: Option<&mut Instruments>,
+) -> Option<Cycle> {
+    let dma_pop_due = gpu.dma_reading.is_none() && !gpu.dma_queue.is_empty();
+    if gpu.mc.is_idle() || dma_pop_due {
+        return None;
+    }
+    let horizon = clock.busy_horizon(|| {
+        let gemm = gpu.gemm.next_event(now, &gpu.mc);
+        gemm.into_iter().chain(arrival).min()
+    })?;
+    let watches = [
+        gpu.gemm.read_watch(),
+        gpu.dma_reading
+            .map(|(_, _, target)| Watch::Class(TrafficClass::RsRead, target)),
+        gpu.feed.front_watch(TrafficClass::RsUpdate),
+    ];
+    let at = gpu.mc.advance_busy(now + 1, horizon, &watches, None, ins);
+    gpu.busy_leap_cycles += at - now;
+    Some(at)
+}
+
 /// Simulates one shard, whose devices start at global index `first`,
 /// through the window `clock` bounds: cycle by cycle, and within a
 /// cycle device by device, stepping only the devices that are due (see
@@ -574,8 +633,12 @@ fn simulate_window(
         let now = clock.now();
         for (i, (gpu, pend)) in shard.iter_mut().zip(pending.iter_mut()).enumerate() {
             let arrived = pend.front().is_some_and(|a| a.arrival <= now);
-            let due = clock.due(gpu.next) || !gpu.mc.is_idle();
-            if !(arrived || due && !gpu.finished()) {
+            // A device whose controller leaped ahead is due on landing,
+            // even when the leap drained it: only its components' step
+            // there can book its completion.
+            let busy = !gpu.mc.is_idle() && !gpu.mc_ahead;
+            let due = clock.due(gpu.next) || busy;
+            if !(arrived || due && (gpu.mc_ahead || !gpu.finished())) {
                 continue;
             }
             let d = first + i;
@@ -585,14 +648,19 @@ fn simulate_window(
                 pend.pop_front();
                 deliver_incoming(gpu, now, arrival, ctx, reborrow(&mut dev_ins));
             }
-            step_device(gpu, d, now, ctx, sink, dev_ins);
+            step_device(gpu, d, now, ctx, sink, reborrow(&mut dev_ins));
             gpu.next = device_next_event(gpu, now);
             gpu.synced = now + 1;
+            let arrival = pend.front().map(|a| a.arrival);
+            if let Some(at) = leap_busy(gpu, now, &clock, arrival, dev_ins) {
+                (gpu.next, gpu.mc_ahead, gpu.synced) = (Some(at), true, at + 1);
+            }
         }
         // A finished device has no next event, so the leap waits only
-        // on unfinished devices and arrivals. Skipped devices replay
-        // the leaped gap themselves.
-        let quiescent = shard.iter().all(|g| g.mc.is_idle());
+        // on unfinished devices and arrivals; a device whose controller
+        // leaped ahead waits on its landing cycle. Skipped devices
+        // replay the leaped gap themselves.
+        let quiescent = shard.iter().all(|g| g.mc.is_idle() || g.mc_ahead);
         clock.advance(quiescent, || {
             let devices = shard.iter().filter_map(|g| g.next);
             let arrivals = pending.iter().filter_map(|p| p.front());
@@ -718,6 +786,10 @@ fn run_windows(
             pending.iter().all(VecDeque::is_empty),
             "window left arrivals unconsumed"
         );
+        debug_assert!(
+            gpus.iter().all(|g| !g.mc_ahead),
+            "a busy leap crossed the window barrier"
+        );
 
         if gpus.iter().all(|g| g.finished_at.is_some()) && fabric.is_idle(t_end - 1) {
             break;
@@ -759,6 +831,8 @@ fn run_windows(
                 misses: gpu0.gemm.plan().misses(),
             },
         );
+        ins.set_work("run.loop_steps", gpu0.loop_steps);
+        ins.set_work("run.busy_leap_cycles", gpu0.busy_leap_cycles);
         if let Some(m) = ins.metrics.as_mut() {
             m.set("run.cycles", result.cycles);
             m.set("run.skew", result.skew);
@@ -777,6 +851,7 @@ mod tests {
     use super::*;
     use crate::engine::run_fused_gemm_rs;
     use t3_gpu::gemm::GemmShape;
+    use t3_sim::config::LinkConfig;
 
     fn sys() -> SystemConfig {
         SystemConfig::paper_default()
@@ -860,38 +935,87 @@ mod tests {
         assert_eq!(format!("{stepped:?}"), format!("{fast:?}"));
     }
 
+    /// A run instrumenting device 0: the result, device 0's trace
+    /// records and metrics JSON, and its work counters
+    /// (`run.loop_steps`, `run.busy_leap_cycles`).
+    fn instrumented(
+        s: &SystemConfig,
+        grid: &GemmGrid,
+        topo: &Topology,
+        mode: SimMode,
+    ) -> (String, String, String, (u64, u64)) {
+        let mut ins = Instruments::full();
+        let r = run_multi_gpu_fused_rs_on(s, grid.clone(), &opts_in(mode), topo, Some(&mut ins));
+        let records = ins.tracer.as_ref().expect("tracer on").records();
+        let m = ins.metrics.as_ref().expect("metrics on");
+        let work = (m.work("run.loop_steps"), m.work("run.busy_leap_cycles"));
+        (format!("{r:?}"), format!("{records:?}"), m.to_json(), work)
+    }
+
+    /// Stepped and fast-forward runs instrumenting device 0 agree on
+    /// the result, the trace records and the metrics; returns the
+    /// fast-forward run's result.
+    fn assert_modes_agree(s: &SystemConfig, grid: &GemmGrid, topo: &Topology) -> String {
+        let stepped = instrumented(s, grid, topo, SimMode::Stepped);
+        let fast = instrumented(s, grid, topo, SimMode::FastForward);
+        let label = topo.kind().label();
+        assert_eq!(stepped.0, fast.0, "{label}: result");
+        assert_eq!(stepped.1, fast.1, "{label}: trace records");
+        assert_eq!(stepped.2, fast.2, "{label}: metrics");
+        fast.0
+    }
+
     #[test]
     fn instrumented_fast_forward_traces_match_stepped() {
-        // Skipped idle cycles must replay their side effects exactly:
-        // the tracer's sampled MC depth stream, event sequence numbers
-        // and every metrics counter have to match the stepped run.
+        // Skipped idle cycles and busy leaps must replay their side
+        // effects exactly: the tracer's sampled MC depth stream, event
+        // sequence numbers and every metrics counter have to match the
+        // stepped run.
+        let mut s = sys();
+        s.num_gpus = 4;
+        let topo = Topology::ring(s.num_gpus, &s.link);
+        assert_modes_agree(&s, &small_grid(&s), &topo);
+    }
+
+    #[test]
+    fn every_fabric_fast_forward_traces_match_stepped() {
+        // Device 0 leaps its busy controller with instruments attached
+        // on a switch (shared ports), a torus and a fully-connected
+        // fabric (direct schedule, multi-hop or not) and on a
+        // latency-bound inter-node ring (long windows, DMA-driven); the
+        // default ring and the hierarchical fabric have their own tests.
+        let s = sys();
+        let grid = small_grid(&s);
+        let internode = LinkConfig {
+            link_gb_s: 25.0,
+            clock_ghz: s.link.clock_ghz,
+            latency_ns: 5000.0,
+        };
+        for topo in [
+            Topology::switch(s.num_gpus, &s.link),
+            Topology::torus2d(2, 4, &s.link),
+            Topology::fully_connected(s.num_gpus, &s.link),
+            Topology::ring(s.num_gpus, &internode),
+        ] {
+            assert_modes_agree(&s, &grid, &topo);
+        }
+    }
+
+    #[test]
+    fn busy_leaps_are_counted_for_device_zero() {
+        // Pinned: device 0 of the 4-GPU ring takes 1,672 steps for its
+        // 120,365 cycles in fast-forward mode, and its controller steps
+        // 42,426 cycles inside busy leaps (each at most a window long);
+        // the stepped reference steps it every cycle and never leaps. A
+        // lost leap moves these counts.
         let mut s = sys();
         s.num_gpus = 4;
         let grid = small_grid(&s);
-        let mut a = Instruments::full();
-        let mut b = Instruments::full();
         let topo = Topology::ring(s.num_gpus, &s.link);
-        let stepped = run_multi_gpu_fused_rs_on(
-            &s,
-            grid.clone(),
-            &opts_in(SimMode::Stepped),
-            &topo,
-            Some(&mut a),
-        );
-        let fast = run_multi_gpu_fused_rs_on(
-            &s,
-            grid,
-            &opts_in(SimMode::FastForward),
-            &topo,
-            Some(&mut b),
-        );
-        assert_eq!(stepped.cycles, fast.cycles);
-        let ta = a.tracer.as_ref().expect("tracer on").records();
-        let tb = b.tracer.as_ref().expect("tracer on").records();
-        assert_eq!(format!("{ta:?}"), format!("{tb:?}"));
-        let ma = a.metrics.as_ref().expect("metrics on").to_json();
-        let mb = b.metrics.as_ref().expect("metrics on").to_json();
-        assert_eq!(ma, mb);
+        let (_, _, _, fast) = instrumented(&s, &grid, &topo, SimMode::FastForward);
+        let (_, _, _, stepped) = instrumented(&s, &grid, &topo, SimMode::Stepped);
+        assert_eq!(fast, (1_672, 42_426));
+        assert_eq!(stepped, (120_366, 0));
     }
 
     #[test]
@@ -951,26 +1075,14 @@ mod tests {
         slow.link_gb_s /= 4.0;
         slow.latency_ns *= 4.0;
         let topo = Topology::hierarchical(2, 4, &s.link, &slow);
-        let run = |mode: SimMode| {
-            let mut ins = Instruments::full();
-            let r =
-                run_multi_gpu_fused_rs_on(&s, grid.clone(), &opts_in(mode), &topo, Some(&mut ins));
-            let records = ins.tracer.as_ref().expect("tracer on").records();
-            let metrics = ins.metrics.as_ref().expect("metrics on").to_json();
-            (format!("{r:?}"), format!("{records:?}"), metrics)
-        };
-        let stepped = run(SimMode::Stepped);
-        let fast = run(SimMode::FastForward);
-        assert_eq!(stepped.0, fast.0, "result");
-        assert_eq!(stepped.1, fast.1, "trace records");
-        assert_eq!(stepped.2, fast.2, "metrics");
+        let fast = assert_modes_agree(&s, &grid, &topo);
         let seq =
             run_multi_gpu_fused_rs_on(&s, grid.clone(), &FusedOptions::default(), &topo, None);
         let sharded = run_multi_gpu_fused_rs_sharded(&s, grid, &FusedOptions::default(), &topo, 2);
         assert_eq!(format!("{seq:?}"), format!("{sharded:?}"), "sharded");
         assert_eq!(
             format!("{seq:?}"),
-            fast.0,
+            fast,
             "instrumentation changed the result"
         );
     }

@@ -124,6 +124,20 @@ impl ArbitrationPolicy {
         }
     }
 
+    /// Whether, with `stream` the only one pending, every pick is that
+    /// stream holding without limit ([`HOLDS`]), whatever the DRAM
+    /// occupancy and however many cycles pass: true for round-robin and
+    /// compute-first, and for T3-MCA on the compute stream (its comm
+    /// picks hold only up to the threshold and its starvation guard
+    /// watches the wait). The memory controller replays a lone stream's
+    /// drain in one tight loop only under such a pick.
+    pub(crate) fn holds_alone(&self, stream: StreamId) -> bool {
+        match self {
+            ArbitrationPolicy::RoundRobin(_) | ArbitrationPolicy::ComputeFirst(_) => true,
+            ArbitrationPolicy::Mca(_) => stream == StreamId::Compute,
+        }
+    }
+
     /// Notifies the policy that transactions from `stream` were issued
     /// (one call covers any number of consecutive issues of one pick).
     pub fn on_issue(&mut self, stream: StreamId) {
@@ -215,7 +229,6 @@ pub struct McaPolicy {
     /// prioritised once, preventing starvation.
     starvation_limit: u64,
     comm_wait_cycles: u64,
-    intensity_observed: bool,
 }
 
 impl McaPolicy {
@@ -230,7 +243,6 @@ impl McaPolicy {
             threshold: MCA_THRESHOLDS[2],
             starvation_limit: Self::DEFAULT_STARVATION_LIMIT,
             comm_wait_cycles: 0,
-            intensity_observed: false,
         }
     }
 
@@ -241,7 +253,6 @@ impl McaPolicy {
             threshold,
             starvation_limit: Self::DEFAULT_STARVATION_LIMIT,
             comm_wait_cycles: 0,
-            intensity_observed: true,
         }
     }
 
@@ -309,7 +320,6 @@ impl McaPolicy {
         } else {
             MCA_THRESHOLDS[3]
         };
-        self.intensity_observed = true;
     }
 }
 

@@ -14,7 +14,7 @@
 //! asked once per run it issues, not once per transaction. Busy phases
 //! can be replayed by the controller alone
 //! ([`MemoryController::advance_busy`]) up to the next cycle a client
-//! watches for.
+//! watches for; a lone stream's drain replays there in a tight loop.
 
 use std::collections::VecDeque;
 
@@ -356,7 +356,10 @@ impl MemoryController {
     /// is `horizon` (a client's next timed event). An engine loop whose
     /// other components are inert until one of those leaps its busy
     /// controller this way, then steps the others at the returned
-    /// cycle. `from` must lie before `horizon`.
+    /// cycle. `from` must lie before `horizon`. With no time series and
+    /// no instruments attached, stretches in which one stream drains
+    /// alone run in a tight loop over local credits (`drain_alone`),
+    /// with the same result.
     pub fn advance_busy(
         &mut self,
         from: Cycle,
@@ -368,6 +371,13 @@ impl MemoryController {
         debug_assert!(from < horizon, "busy leap to a past horizon");
         let mut now = from;
         loop {
+            if timeseries.is_none() && ins.is_none() {
+                let (cycles, stopped) = self.drain_alone(now, horizon, watches);
+                if stopped {
+                    return now + cycles - 1;
+                }
+                now += cycles;
+            }
             self.step_traced(now, timeseries.as_deref_mut(), reborrow(&mut ins));
             let watched = watches.iter().flatten().any(|&w| self.reached(w));
             if watched || self.is_idle() || now + 1 >= horizon {
@@ -375,6 +385,150 @@ impl MemoryController {
             }
             now += 1;
         }
+    }
+
+    /// Replays, from cycle `from`, the cycles of a lone stream's drain in
+    /// one tight loop, exactly as uninstrumented
+    /// [`MemoryController::step`]s without a time series. It applies
+    /// only while one stream pends, the policy's pick of it holds
+    /// without limit ([`ArbitrationPolicy::holds_alone`]), no stream
+    /// switch is due (the last serviced stream is that one, or none)
+    /// and the DRAM queue holds at most one run, of the front batch's
+    /// shape. Each cycle then issues one run slice and services from
+    /// that one run: the loop does the same f64 adds, clamps and
+    /// per-transaction subtractions as `step_issue` and `step_service`,
+    /// in the same order, on local credits, and books the counters,
+    /// policy ticks, the run and occupancy once at the end. It stops
+    /// before a cycle in which the front batch's full-size transactions
+    /// could run out (a cycle issues at most the DRAM capacity), after
+    /// the first cycle at which a watch is reached, or when the next
+    /// cycle is `horizon`. Returns the cycles replayed (0 when the
+    /// state does not qualify) and whether it stopped at a watch or the
+    /// horizon, in which case the last replayed cycle ends the leap.
+    fn drain_alone(
+        &mut self,
+        from: Cycle,
+        horizon: Cycle,
+        watches: &[Option<Watch>],
+    ) -> (Cycle, bool) {
+        let (stream, batch) = match (self.compute_q.front(), self.comm_q.front()) {
+            (Some(batch), None) => (StreamId::Compute, batch),
+            (None, Some(batch)) => (StreamId::Comm, batch),
+            _ => return (0, false),
+        };
+        let txn = self.txn_bytes;
+        let cap = self.dram_capacity as u64;
+        let (class, cost) = (batch.class, batch.cost_each);
+        let mut full = batch.remaining_bytes / txn;
+        let queue_fits = match self.dram_q.len() {
+            0 => true,
+            1 => self.dram_q[0].extends(stream, class, txn, cost),
+            _ => false,
+        };
+        if full <= cap
+            || !queue_fits
+            || !self.policy.holds_alone(stream)
+            || self.last_serviced_stream.is_some_and(|last| last != stream)
+        {
+            return (0, false);
+        }
+        // The fewest transactions this drain must service before a
+        // watch is reached: 0 for one reached already (the first cycle
+        // stops), none for a counter the drain leaves unchanged.
+        let need = watches
+            .iter()
+            .flatten()
+            .map(|&w| {
+                let (counter, grows, target) = match w {
+                    Watch::Serviced(s, target) => (self.serviced_bytes(s), s == stream, target),
+                    Watch::Class(c, target) => (self.stats.bytes(c), c == class, target),
+                };
+                if counter >= target {
+                    0
+                } else if grows {
+                    (target - counter).div_ceil(txn)
+                } else {
+                    u64::MAX
+                }
+            })
+            .min()
+            .unwrap_or(u64::MAX);
+
+        let (issue_rate, service_rate) = (self.issue_rate, self.service_rate);
+        let (mut issue_credit, mut service_credit) = (self.issue_credit, self.service_credit);
+        let mut len = self.dram_len as u64;
+        let (mut issued, mut served, mut occupancy, mut cycles) = (0u64, 0u64, 0u64, 0u64);
+        let mut stopped = false;
+        while full > cap {
+            // Issue: one decision, as many transactions as the credit
+            // covers and the queue has room for.
+            issue_credit = (issue_credit + issue_rate).min(issue_rate * 2.0);
+            let before = len;
+            while issue_credit >= 1.0 && len < cap {
+                issue_credit -= 1.0;
+                len += 1;
+            }
+            full -= len - before;
+            issued += len - before;
+            // Service from the one run; no stream switch can be due.
+            if len == 0 {
+                service_credit = 0.0;
+            } else {
+                service_credit += service_rate;
+                let mut n = 0;
+                while n < len && service_credit >= cost {
+                    service_credit -= cost;
+                    n += 1;
+                }
+                len -= n;
+                served += n;
+            }
+            occupancy += len;
+            cycles += 1;
+            if served >= need || from + cycles >= horizon {
+                stopped = true;
+                break;
+            }
+        }
+
+        self.policy.tick_many(cycles);
+        if issued > 0 {
+            self.policy.on_issue(stream);
+        }
+        let (queue, pending) = match stream {
+            StreamId::Compute => (&mut self.compute_q, &mut self.pending_compute),
+            StreamId::Comm => (&mut self.comm_q, &mut self.pending_comm),
+        };
+        if let Some(batch) = queue.front_mut() {
+            batch.remaining_bytes -= issued * txn;
+            batch.remaining_txns -= issued;
+        }
+        *pending -= issued * txn;
+        self.issue_credit = issue_credit;
+        self.service_credit = service_credit;
+        if served > 0 {
+            self.last_serviced_stream = Some(stream);
+            match stream {
+                StreamId::Compute => self.serviced_compute += served * txn,
+                StreamId::Comm => self.serviced_comm += served * txn,
+            }
+            self.stats.record(class, served * txn);
+        }
+        match self.dram_q.front_mut() {
+            _ if len == 0 => self.dram_q.clear(),
+            Some(run) => run.count = len,
+            None => self.dram_q.push_back(Run {
+                stream,
+                class,
+                bytes: txn,
+                cost,
+                count: len,
+            }),
+        }
+        self.dram_len = len as usize;
+        self.occupancy_accum += occupancy;
+        self.occupancy_samples += cycles;
+        (cycles, stopped)
     }
 
     /// Moves `clock` past the cycle the loop just stepped: the one way

@@ -253,3 +253,99 @@ fn advance_busy_equals_one_cycle_stepping() {
         }
     }
 }
+
+/// The uninstrumented twin of `advance_busy_equals_one_cycle_stepping`:
+/// with no time series and no instruments, `advance_busy` replays a
+/// lone stream's drain in a tight loop, so half the rounds here enqueue
+/// large batches on one stream only. Under all five policies the leap
+/// must stop at the same cycle as plain stepping and leave a
+/// `Debug`-equal controller after every leap.
+#[test]
+fn uninstrumented_advance_busy_equals_one_cycle_stepping() {
+    use t3_mem::controller::Watch;
+
+    let cfg = SystemConfig::paper_default().mem;
+    let mut all = policies();
+    all.push(
+        McaPolicy::with_fixed_threshold(10)
+            .with_starvation_limit(40)
+            .into(),
+    );
+    let mut covered = 0u64;
+    for seed in 0..48u64 {
+        for policy in &all {
+            let mut rng = SplitMix64::new(seed);
+            let mut stepped = MemoryController::new(&cfg, policy.clone());
+            let mut leaped = MemoryController::new(&cfg, policy.clone());
+            let mut now = 0u64;
+            for round in 0..10 {
+                let lone = rng.gen_bool().then(|| rng.gen_bool());
+                let reqs = match lone {
+                    Some(compute) => (0..rng.gen_range_usize(1, 4))
+                        .map(|_| Req {
+                            compute,
+                            class_idx: rng.gen_range_usize(0, TrafficClass::ALL.len()),
+                            bytes: rng.gen_range(1, 4_000_000),
+                            nmc: rng.gen_bool(),
+                        })
+                        .collect(),
+                    None => gen_reqs(&mut rng, 5),
+                };
+                for r in reqs {
+                    let stream = if r.compute {
+                        StreamId::Compute
+                    } else {
+                        StreamId::Comm
+                    };
+                    let class = TrafficClass::ALL[r.class_idx];
+                    let cost = if r.nmc { cfg.nmc_cost_multiplier } else { 1.0 };
+                    stepped.enqueue(stream, class, r.bytes, cost);
+                    leaped.enqueue(stream, class, r.bytes, cost);
+                }
+                if round == 3 {
+                    stepped.observe_compute_intensity(0.3);
+                    leaped.observe_compute_intensity(0.3);
+                }
+                let ahead = |rng: &mut SplitMix64, at: u64| at + rng.gen_range(0, 3_000_000);
+                let class = TrafficClass::ALL[rng.gen_range_usize(0, TrafficClass::ALL.len())];
+                let watches = [
+                    rng.gen_bool().then(|| {
+                        Watch::Serviced(
+                            StreamId::Compute,
+                            ahead(&mut rng, stepped.serviced_bytes(StreamId::Compute)),
+                        )
+                    }),
+                    rng.gen_bool().then(|| {
+                        Watch::Serviced(
+                            StreamId::Comm,
+                            ahead(&mut rng, stepped.serviced_bytes(StreamId::Comm)),
+                        )
+                    }),
+                    rng.gen_bool().then(|| {
+                        Watch::Class(class, ahead(&mut rng, stepped.stats().bytes(class)))
+                    }),
+                ];
+                let horizon = now + rng.gen_range(1, 60_000);
+                let at = leaped.advance_busy(now, horizon, &watches, None, None);
+                let mut t = now;
+                loop {
+                    stepped.step(t, None);
+                    let watched = watches.iter().flatten().any(|&w| match w {
+                        Watch::Serviced(stream, target) => stepped.serviced_bytes(stream) >= target,
+                        Watch::Class(class, target) => stepped.stats().bytes(class) >= target,
+                    });
+                    if watched || stepped.is_idle() || t + 1 == horizon {
+                        break;
+                    }
+                    t += 1;
+                }
+                let case = format!("seed {seed} {policy:?} round {round}");
+                assert_eq!(at, t, "{case}");
+                assert_eq!(format!("{leaped:?}"), format!("{stepped:?}"), "{case}");
+                covered += at + 1 - now;
+                now = at + 1;
+            }
+        }
+    }
+    assert!(covered > 2_000_000, "only {covered} cycles covered");
+}
