@@ -33,15 +33,16 @@
 //!
 //! # Engine
 //!
-//! One driver advances time in windows of `1 + min link latency`
-//! cycles, short enough that no message sent inside a window can
-//! arrive within it, so each window's arrivals are known at its start.
-//! Devices are partitioned into contiguous shards; one loop,
-//! `simulate_window`, runs a shard through a window on a [`Clock`]
-//! bounded by the window end, stepped or fast-forward per
-//! [`t3_sim::SimMode`]:
+//! One loop, [`run_multi_gpu_fused_rs_on`], advances time in windows
+//! of `1 + min link latency` cycles, short enough that no message sent
+//! inside a window can arrive within it. At each window's start it
+//! pre-pops the window's fabric arrivals into per-device queues, then
+//! walks the window on a [`Clock`] bounded by its end, stepped or
+//! fast-forward per [`t3_sim::SimMode`]:
 //!
-//! * It walks cycles in order and, within a cycle, devices in order.
+//! * It walks cycles in order and, within a cycle, devices in order,
+//!   and sends straight into the fabric, so sends keep their
+//!   `(cycle, device)` order.
 //!   It steps a device only when a fabric arrival is due, or when the
 //!   device is unfinished and its memory controller is busy or its
 //!   own `next_event` (GEMM stage boundaries, DMA polling) has come
@@ -62,25 +63,19 @@
 //!   early where its GEMM read, DMA source read or incoming feed front
 //!   is reached. It is skipped until that landing cycle, where its other
 //!   components step without a second controller step. The loop stays
-//!   cycle-major, so sends keep their `(cycle, device)` order.
-//! * When every memory controller of the shard is idle or leaped ahead,
-//!   the clock leaps to the earliest device event, landing or pending
-//!   arrival.
+//!   cycle-major.
+//! * When every memory controller is idle or leaped ahead, the clock
+//!   leaps to the earliest device event, landing or pending arrival.
 //!
-//! [`run_multi_gpu_fused_rs_on`] is the driver at one shard: it runs
-//! inline and sends straight into the fabric, so sends keep their
-//! `(cycle, device)` order and device 0 can be instrumented.
-//! [`run_multi_gpu_fused_rs_sharded`] runs one shard per worker thread,
-//! buffering sends and replaying them at each window barrier in that
-//! same order, so every width is byte-identical to one shard. In
-//! fast-forward mode a barrier with every memory controller idle leaps
-//! the next window's start to the earliest device event or fabric
-//! arrival, so long link waits cost no empty windows.
+//! In fast-forward mode a window end with every memory controller idle
+//! opens the next window at the earliest device event or fabric
+//! arrival ([`Clock::open_window`]), so long link waits cost no empty
+//! windows. The windows are kept for speed, not correctness: a
+//! windowless loop polling every device's fabric inbox on every visited
+//! cycle was byte-identical but slower (ARCHITECTURE §10).
 
 use std::collections::VecDeque;
-use std::panic::resume_unwind;
 use std::sync::Arc;
-use std::thread;
 
 use crate::addrmap::{ChunkRoute, OutputConfig};
 use crate::engine::{FusedOptions, FusedRunResult};
@@ -94,7 +89,7 @@ use t3_net::ring::Ring;
 use t3_sim::clock::Clock;
 use t3_sim::config::SystemConfig;
 use t3_sim::stats::{TrafficClass, TrafficStats};
-use t3_sim::{Bytes, Cycle, SimMode};
+use t3_sim::{Bytes, Cycle};
 use t3_topo::{Arrival, Fabric, Schedule, Topology};
 use t3_trace::{reborrow, Event, Instruments};
 
@@ -183,89 +178,37 @@ impl Gpu {
     }
 }
 
-/// A fabric send a sharded worker buffered during its window, replayed
-/// at the barrier in `(cycle, device, program order)`.
-#[derive(Debug, Clone, Copy)]
-struct SendIntent {
-    cycle: Cycle,
+/// Sends a Tracker-fired DMA chunk; when instrumented, also records the
+/// chunk's wire span on its first hop as an [`Event::ChunkSend`].
+fn send_dma(
+    fabric: &mut Fabric,
+    now: Cycle,
     src: usize,
     dst: usize,
     tag: u64,
     bytes: Bytes,
-}
-
-/// Where a device's outgoing fabric traffic goes: straight onto the
-/// shared fabric (a single shard) or into a per-worker buffer for
-/// deterministic replay at the window barrier (several shards, which
-/// never instrument, so the buffered variant ignores `ins`).
-enum SendSink<'a> {
-    Fabric(&'a mut Fabric),
-    Buffer(&'a mut Vec<SendIntent>),
-}
-
-impl SendSink<'_> {
-    /// A fine-grained remote-update stream send.
-    fn send_update(
-        &mut self,
-        now: Cycle,
-        src: usize,
-        dst: usize,
-        tag: u64,
-        bytes: Bytes,
-        ins: Option<&mut Instruments>,
-    ) {
-        match self {
-            SendSink::Fabric(fabric) => {
-                fabric.send_traced(now, src, dst, tag, bytes, ins);
-            }
-            SendSink::Buffer(intents) => {
-                debug_assert!(ins.is_none(), "sharded windows are uninstrumented");
-                intents.push(SendIntent {
-                    cycle: now,
-                    src,
-                    dst,
-                    tag,
-                    bytes,
-                });
-            }
-        }
-    }
-
-    /// A Tracker-fired DMA chunk send; records the chunk's wire span
-    /// as a [`Event::ChunkSend`] when instrumented.
-    fn send_dma(
-        &mut self,
-        now: Cycle,
-        src: usize,
-        dst: usize,
-        tag: u64,
-        bytes: Bytes,
-        mut ins: Option<&mut Instruments>,
-    ) {
-        match self {
-            SendSink::Fabric(fabric) if ins.is_some() => {
-                let out_port = fabric.topo().route(src, dst)[0];
-                let hops = fabric.topo().route(src, dst).len() as u64;
-                let start = fabric.link(out_port).busy_until().max(now);
-                fabric.send_traced(now, src, dst, tag, bytes, reborrow(&mut ins));
-                if let Some(ins) = ins {
-                    let end = fabric.link(out_port).busy_until();
-                    ins.record(
-                        end,
-                        Event::ChunkSend {
-                            chunk: tag,
-                            bytes,
-                            hops,
-                            start,
-                            end,
-                        },
-                    );
-                    ins.add("dma.chunks_sent", 1);
-                }
-            }
-            _ => self.send_update(now, src, dst, tag, bytes, ins),
-        }
-    }
+    ins: Option<&mut Instruments>,
+) {
+    let Some(ins) = ins else {
+        fabric.send_traced(now, src, dst, tag, bytes, None);
+        return;
+    };
+    let route = fabric.topo().route(src, dst);
+    let (out_port, hops) = (route[0], route.len() as u64);
+    let start = fabric.link(out_port).busy_until().max(now);
+    fabric.send_traced(now, src, dst, tag, bytes, Some(&mut *ins));
+    let end = fabric.link(out_port).busy_until();
+    ins.record(
+        end,
+        Event::ChunkSend {
+            chunk: tag,
+            bytes,
+            hops,
+            start,
+            end,
+        },
+    );
+    ins.add("dma.chunks_sent", 1);
 }
 
 /// Read-only per-run parameters shared by every device step.
@@ -413,15 +356,14 @@ fn deliver_incoming(
 /// One device's full per-cycle step: memory controller (unless a busy
 /// leap already stepped it here), incoming update attribution, GEMM
 /// progress, DMA engine, trigger fires and completion bookkeeping.
-/// Outgoing traffic goes through `sink` so the sharded engine can
-/// defer it to its window barrier. `ins` must be `Some` only for the
-/// instrumented device.
+/// Outgoing traffic goes straight into `fabric`. `ins` must be `Some`
+/// only for the instrumented device.
 fn step_device(
     gpu: &mut Gpu,
     d: usize,
     now: Cycle,
     ctx: &StepCtx,
-    sink: &mut SendSink,
+    fabric: &mut Fabric,
     mut ins: Option<&mut Instruments>,
 ) {
     gpu.loop_steps += 1;
@@ -482,7 +424,7 @@ fn step_device(
                 match c.route {
                     ChunkRoute::RemoteUpdate { device } => {
                         let tag = c.global_chunk as u64;
-                        sink.send_update(now, d, device, tag, bytes, reborrow(&mut ins));
+                        fabric.send_traced(now, d, device, tag, bytes, reborrow(&mut ins));
                     }
                     ChunkRoute::LocalOnly {
                         updates_per_element,
@@ -516,7 +458,7 @@ fn step_device(
         if gpu.mc.stats().bytes(TrafficClass::RsRead) >= target {
             let c = &gpu.chunks[pos];
             let tag = c.global_chunk as u64;
-            sink.send_dma(now, d, dest, tag, c.bytes, reborrow(&mut ins));
+            send_dma(fabric, now, d, dest, tag, c.bytes, reborrow(&mut ins));
             gpu.dma_transfers += 1;
             gpu.dma_reading = None;
         }
@@ -614,74 +556,19 @@ fn leap_busy(
     Some(at)
 }
 
-/// Simulates one shard, whose devices start at global index `first`,
-/// through the window `clock` bounds: cycle by cycle, and within a
-/// cycle device by device, stepping only the devices that are due (see
-/// the module docs). `pending` holds each device's pre-popped arrivals
-/// for the window. `ins` must be `Some` only for the shard holding
-/// device 0, which it instruments.
-fn simulate_window(
-    shard: &mut [Gpu],
-    first: usize,
-    mut clock: Clock,
-    pending: &mut [VecDeque<Arrival>],
-    sink: &mut SendSink,
-    ctx: &StepCtx,
-    mut ins: Option<&mut Instruments>,
-) {
-    while clock.running() {
-        let now = clock.now();
-        for (i, (gpu, pend)) in shard.iter_mut().zip(pending.iter_mut()).enumerate() {
-            let arrived = pend.front().is_some_and(|a| a.arrival <= now);
-            // A device whose controller leaped ahead is due on landing,
-            // even when the leap drained it: only its components' step
-            // there can book its completion.
-            let busy = !gpu.mc.is_idle() && !gpu.mc_ahead;
-            let due = clock.due(gpu.next) || busy;
-            if !(arrived || due && (gpu.mc_ahead || !gpu.finished())) {
-                continue;
-            }
-            let d = first + i;
-            let mut dev_ins = if d == 0 { reborrow(&mut ins) } else { None };
-            gpu.mc.skip_idle(gpu.synced, now, reborrow(&mut dev_ins));
-            while let Some(&arrival) = pend.front().filter(|a| a.arrival <= now) {
-                pend.pop_front();
-                deliver_incoming(gpu, now, arrival, ctx, reborrow(&mut dev_ins));
-            }
-            step_device(gpu, d, now, ctx, sink, reborrow(&mut dev_ins));
-            gpu.next = device_next_event(gpu, now);
-            gpu.synced = now + 1;
-            let arrival = pend.front().map(|a| a.arrival);
-            if let Some(at) = leap_busy(gpu, now, &clock, arrival, dev_ins) {
-                (gpu.next, gpu.mc_ahead, gpu.synced) = (Some(at), true, at + 1);
-            }
-        }
-        // A finished device has no next event, so the leap waits only
-        // on unfinished devices and arrivals; a device whose controller
-        // leaped ahead waits on its landing cycle. Skipped devices
-        // replay the leaped gap themselves.
-        let quiescent = shard.iter().all(|g| g.mc.is_idle() || g.mc_ahead);
-        clock.advance(quiescent, || {
-            let devices = shard.iter().filter_map(|g| g.next);
-            let arrivals = pending.iter().filter_map(|p| p.front());
-            let arrivals = arrivals.map(|a| a.arrival.max(now + 1));
-            devices.chain(arrivals).min()
-        });
-    }
-}
-
 /// Runs the fused GEMM + reduce-scatter with every GPU simulated
 /// explicitly over an arbitrary fabric. A ring topology reproduces
 /// [`run_multi_gpu_fused_rs`] exactly; any other fabric runs the
-/// direct schedule with multi-hop, per-link-contended traffic (see
-/// the module docs).
+/// direct schedule with multi-hop, per-link-contended traffic.
 ///
-/// `opts.mode` selects stepped or fast-forward time advancement; the
-/// two are byte-identical (the stepped path is the reference kept for
-/// the equivalence tests). `ins` instruments **device 0** (all devices
-/// are homogeneous, so one observed GPU is representative, the same
-/// argument as the mirrored methodology); passing `None` leaves the
-/// result bit-identical.
+/// This is the engine's one loop (see the module docs): window by
+/// window, cycle by cycle, and within a cycle device by device, it
+/// steps only the devices that are due. `opts.mode` selects stepped or
+/// fast-forward time advancement; the two are byte-identical (the
+/// stepped path is the reference kept for the equivalence tests).
+/// `ins` instruments **device 0** (all devices are homogeneous, so one
+/// observed GPU is representative, the same argument as the mirrored
+/// methodology); passing `None` leaves the result bit-identical.
 ///
 /// # Panics
 ///
@@ -692,40 +579,6 @@ pub fn run_multi_gpu_fused_rs_on(
     grid: GemmGrid,
     opts: &FusedOptions,
     topo: &Topology,
-    ins: Option<&mut Instruments>,
-) -> MultiGpuResult {
-    run_windows(sys, grid, opts, topo, 1, ins)
-}
-
-/// [`run_multi_gpu_fused_rs_on`] on `threads` worker threads, one
-/// contiguous shard of devices each, byte-identical to it at every
-/// width (see the module docs). Worker panics are re-raised on the
-/// caller in shard order (lowest devices first), the same ordered-merge
-/// discipline as `t3-runtime`'s scheduler pool.
-///
-/// # Panics
-///
-/// As [`run_multi_gpu_fused_rs_on`], plus any panic raised inside a
-/// worker.
-pub fn run_multi_gpu_fused_rs_sharded(
-    sys: &SystemConfig,
-    grid: GemmGrid,
-    opts: &FusedOptions,
-    topo: &Topology,
-    threads: usize,
-) -> MultiGpuResult {
-    run_windows(sys, grid, opts, topo, threads, None)
-}
-
-/// The window driver behind both entry points: `shards` contiguous
-/// shards advance through windows of `1 + min link latency` cycles,
-/// inline for one shard and on scoped worker threads otherwise.
-fn run_windows(
-    sys: &SystemConfig,
-    grid: GemmGrid,
-    opts: &FusedOptions,
-    topo: &Topology,
-    shards: usize,
     mut ins: Option<&mut Instruments>,
 ) -> MultiGpuResult {
     let (mut gpus, mut fabric) = build_run(sys, &grid, opts, topo);
@@ -741,46 +594,50 @@ fn run_windows(
         .map(|l| l.cfg.latency_cycles())
         .min()
         .unwrap_or(0);
-    let n = gpus.len();
-    let per = n.div_ceil(shards.clamp(1, n));
 
-    let mut t0: Cycle = 0;
+    let mut clock = Clock::bounded(opts.mode, 0, window);
     loop {
-        let t_end = t0 + window;
-        let mut pending: Vec<VecDeque<Arrival>> = (0..n)
+        let t_end = clock.now() + window;
+        let mut pending: Vec<VecDeque<Arrival>> = (0..gpus.len())
             .map(|d| fabric.deliveries_until(d, t_end - 1).into())
             .collect();
-        let clock = Clock::bounded(opts.mode, t0, t_end);
-        if per == n {
-            let (sink, ins) = (&mut SendSink::Fabric(&mut fabric), reborrow(&mut ins));
-            simulate_window(&mut gpus, 0, clock, &mut pending, sink, &ctx, ins);
-        } else {
-            let mut merged: Vec<SendIntent> = thread::scope(|scope| {
-                let handles: Vec<_> = gpus
-                    .chunks_mut(per)
-                    .zip(pending.chunks_mut(per))
-                    .enumerate()
-                    .map(|(w, (shard, pend))| {
-                        let (ctx, clock) = (&ctx, clock.clone());
-                        scope.spawn(move || {
-                            let mut intents = Vec::new();
-                            let sink = &mut SendSink::Buffer(&mut intents);
-                            simulate_window(shard, w * per, clock, pend, sink, ctx, None);
-                            intents
-                        })
-                    })
-                    .collect();
-                // Ordered merge: the first panic re-raises in shard order.
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)))
-                    .collect()
-            });
-            // Replay in (cycle, device, program order).
-            merged.sort_by_key(|i| (i.cycle, i.src));
-            for it in &merged {
-                fabric.send(it.cycle, it.src, it.dst, it.tag, it.bytes);
+        while clock.running() {
+            let now = clock.now();
+            for (d, (gpu, pend)) in gpus.iter_mut().zip(&mut pending).enumerate() {
+                let arrived = pend.front().is_some_and(|a| a.arrival <= now);
+                // A device whose controller leaped ahead is due on
+                // landing, even when the leap drained it: only its
+                // components' step there can book its completion.
+                let busy = !gpu.mc.is_idle() && !gpu.mc_ahead;
+                let due = clock.due(gpu.next) || busy;
+                if !(arrived || due && (gpu.mc_ahead || !gpu.finished())) {
+                    continue;
+                }
+                let mut dev_ins = if d == 0 { reborrow(&mut ins) } else { None };
+                gpu.mc.skip_idle(gpu.synced, now, reborrow(&mut dev_ins));
+                while let Some(&arrival) = pend.front().filter(|a| a.arrival <= now) {
+                    pend.pop_front();
+                    deliver_incoming(gpu, now, arrival, &ctx, reborrow(&mut dev_ins));
+                }
+                step_device(gpu, d, now, &ctx, &mut fabric, reborrow(&mut dev_ins));
+                gpu.next = device_next_event(gpu, now);
+                gpu.synced = now + 1;
+                let arrival = pend.front().map(|a| a.arrival);
+                if let Some(at) = leap_busy(gpu, now, &clock, arrival, dev_ins) {
+                    (gpu.next, gpu.mc_ahead, gpu.synced) = (Some(at), true, at + 1);
+                }
             }
+            // A finished device has no next event, so the leap waits
+            // only on unfinished devices and arrivals; a device whose
+            // controller leaped ahead waits on its landing cycle.
+            // Skipped devices replay the leaped gap themselves.
+            let quiescent = gpus.iter().all(|g| g.mc.is_idle() || g.mc_ahead);
+            clock.advance(quiescent, || {
+                let devices = gpus.iter().filter_map(|g| g.next);
+                let arrivals = pending.iter().filter_map(|p| p.front());
+                let arrivals = arrivals.map(|a| a.arrival.max(now + 1));
+                devices.chain(arrivals).min()
+            });
         }
         debug_assert!(
             pending.iter().all(VecDeque::is_empty),
@@ -788,20 +645,19 @@ fn run_windows(
         );
         debug_assert!(
             gpus.iter().all(|g| !g.mc_ahead),
-            "a busy leap crossed the window barrier"
+            "a busy leap crossed the window end"
         );
 
         if gpus.iter().all(|g| g.finished_at.is_some()) && fabric.is_idle(t_end - 1) {
             break;
         }
-        // Barrier leap: with every controller drained, nothing happens
-        // before the next device event or fabric arrival.
-        t0 = t_end;
-        if opts.mode == SimMode::FastForward && gpus.iter().all(|g| g.mc.is_idle()) {
+        // With every controller drained, nothing happens before the
+        // next device event or fabric arrival.
+        let drained = gpus.iter().all(|g| g.mc.is_idle());
+        clock.open_window(window, drained, || {
             let devices = gpus.iter().filter_map(|g| g.next);
-            let next = devices.chain(fabric.next_event(t_end - 1)).min();
-            t0 = next.map_or(t_end, |t| t.max(t_end));
-        }
+            devices.chain(fabric.next_event(t_end - 1)).min()
+        });
     }
 
     // Replay every device through the final cycle, as a stepped run
@@ -846,12 +702,32 @@ fn run_windows(
     result
 }
 
+/// [`run_multi_gpu_fused_rs_on`] without instruments; the thread count
+/// is ignored.
+///
+/// This entry point used to run one contiguous shard of devices per
+/// worker thread, buffering sends and replaying them at each window
+/// end. A window holds too little work to pay for that
+/// synchronisation, so every width ran slower than the one loop
+/// (ARCHITECTURE §10) and the sharding went. The alias goes together
+/// with the benchmark's `sharded2` case, its only remaining caller.
+pub fn run_multi_gpu_fused_rs_sharded(
+    sys: &SystemConfig,
+    grid: GemmGrid,
+    opts: &FusedOptions,
+    topo: &Topology,
+    _threads: usize,
+) -> MultiGpuResult {
+    run_multi_gpu_fused_rs_on(sys, grid, opts, topo, None)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::run_fused_gemm_rs;
     use t3_gpu::gemm::GemmShape;
     use t3_sim::config::LinkConfig;
+    use t3_sim::SimMode;
 
     fn sys() -> SystemConfig {
         SystemConfig::paper_default()
@@ -1019,56 +895,11 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_matches_sequential_at_every_width() {
-        let mut s = sys();
-        s.num_gpus = 4;
-        let grid = small_grid(&s);
-        let topo = Topology::ring(s.num_gpus, &s.link);
-        let seq =
-            run_multi_gpu_fused_rs_on(&s, grid.clone(), &FusedOptions::default(), &topo, None);
-        for threads in [1, 2, 3, 8] {
-            let sh = run_multi_gpu_fused_rs_sharded(
-                &s,
-                grid.clone(),
-                &FusedOptions::default(),
-                &topo,
-                threads,
-            );
-            assert_eq!(
-                format!("{seq:?}"),
-                format!("{sh:?}"),
-                "threads={threads} diverged from the sequential engine"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_run_matches_sequential_on_a_switch_fabric() {
-        // Multi-hop routes share switch ports across devices; the
-        // barrier replay must reproduce that contention exactly, in
-        // both time-advancement modes.
-        let mut s = sys();
-        s.num_gpus = 4;
-        let grid = small_grid(&s);
-        let topo = Topology::switch(s.num_gpus, &s.link);
-        for mode in [SimMode::Stepped, SimMode::FastForward] {
-            let seq = run_multi_gpu_fused_rs_on(&s, grid.clone(), &opts_in(mode), &topo, None);
-            let sh = run_multi_gpu_fused_rs_sharded(&s, grid.clone(), &opts_in(mode), &topo, 2);
-            assert_eq!(
-                format!("{seq:?}"),
-                format!("{sh:?}"),
-                "{} diverged",
-                mode.label()
-            );
-        }
-    }
-
-    #[test]
     fn hierarchical_fast_forward_is_byte_identical_to_stepped() {
         // Slow inter-node links leave most devices idle while a few
         // drain, so this is where skipping idle devices does the most:
         // the result, device 0's trace and the metrics must all match
-        // the stepped reference, and the sharded engine must agree.
+        // the stepped reference.
         let s = sys();
         let grid = small_grid(&s);
         let mut slow = s.link.clone();
@@ -1076,25 +907,12 @@ mod tests {
         slow.latency_ns *= 4.0;
         let topo = Topology::hierarchical(2, 4, &s.link, &slow);
         let fast = assert_modes_agree(&s, &grid, &topo);
-        let seq =
-            run_multi_gpu_fused_rs_on(&s, grid.clone(), &FusedOptions::default(), &topo, None);
-        let sharded = run_multi_gpu_fused_rs_sharded(&s, grid, &FusedOptions::default(), &topo, 2);
-        assert_eq!(format!("{seq:?}"), format!("{sharded:?}"), "sharded");
+        let seq = run_multi_gpu_fused_rs_on(&s, grid, &FusedOptions::default(), &topo, None);
         assert_eq!(
             format!("{seq:?}"),
             fast,
             "instrumentation changed the result"
         );
-    }
-
-    #[test]
-    fn sharded_run_reproduces_the_pinned_ring_timing() {
-        let s = sys();
-        let topo = Topology::ring(s.num_gpus, &s.link);
-        let r = run_multi_gpu_fused_rs_sharded(&s, grid_of(&s), &FusedOptions::default(), &topo, 4);
-        assert_eq!(r.cycles, 438_774);
-        assert_eq!(r.skew, 0);
-        assert_eq!(r.dma_transfers, 48);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! `BENCH_*.json` baseline, job by job, on **simulated cycles only**
 //! — wall-clock fields are host-dependent noise and are never read.
 //! Each job gets a symmetric tolerance band of ± `tolerance_permille`
-//! around its baseline cycles; outside the band means `regressed`
+//! around its baseline cycles ([`DEFAULT_TOLERANCE_PERMILLE`], 0 by
+//! default: the gate is exact); outside the band means `regressed`
 //! (above) or `improved` (below, which passes but signals the
 //! baseline wants a refresh). Jobs present only in the baseline are
 //! `missing` (fail: coverage must not silently shrink); jobs present
@@ -14,10 +15,14 @@
 
 use std::fmt::Write as _;
 
+use t3_trace::metrics::escape_json;
+
 use crate::json::Parser;
 
-/// Default tolerance band: ±5‰ (0.5%) of the baseline cycles.
-pub const DEFAULT_TOLERANCE_PERMILLE: u64 = 5;
+/// Default tolerance band: none. The simulator is deterministic, so
+/// any change in a job's cycles is a regression or an improvement, and
+/// a deliberate change rebaselines.
+pub const DEFAULT_TOLERANCE_PERMILLE: u64 = 0;
 
 /// One job's simulated-cycle tally from a bench report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -240,7 +245,7 @@ impl GateVerdict {
                 s,
                 "\n    {{\"name\": \"{}\", \"status\": \"{}\", \"baseline_cycles\": {}, \
                  \"current_cycles\": {}}}",
-                r.name,
+                escape_json(&r.name),
                 r.status.label(),
                 r.baseline_cycles,
                 r.current_cycles,
@@ -402,5 +407,24 @@ mod tests {
         );
         let text = v.render_text();
         assert!(text.contains("(+100.0%)"));
+    }
+
+    #[test]
+    fn json_verdict_escapes_job_names() {
+        // Job names come from report files, so they may hold anything.
+        let name = "a\"b\\c\nd";
+        let text = format!(
+            "{{\"schema\": 1, \"jobs\": [{{\"name\": \"{}\", \"status\": \"ok\", \"sim_cycles\": 7}}]}}",
+            escape_json(name)
+        );
+        let jobs = parse_report(&text).expect("report parses");
+        assert_eq!(jobs, vec![job(name, "ok", 7)]);
+        let json = check(&jobs, &jobs, DEFAULT_TOLERANCE_PERMILLE).render_json();
+        let mut whole = Parser::new(&json);
+        assert!(whole.skip_value().is_some(), "malformed verdict:\n{json}");
+        whole.skip_ws();
+        assert_eq!(whole.peek(), None, "trailing text after the verdict");
+        let at = json.find("\"name\": ").expect("one job row") + "\"name\": ".len();
+        assert_eq!(Parser::new(&json[at..]).string().as_deref(), Some(name));
     }
 }

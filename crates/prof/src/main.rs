@@ -24,9 +24,10 @@ USAGE:
 
   t3-prof check <report.json> <baseline.json> [--tolerance <permille>] [--json]
       Diff a fresh `figures --report` run against a checked-in
-      BENCH_*.json baseline (simulated cycles only). Exits non-zero
-      on a regression or a missing job; an intentional change
-      regenerates the baseline in the same change."
+      BENCH_*.json baseline (simulated cycles only), exactly unless
+      --tolerance widens the band. Exits non-zero on a regression or
+      a missing job; an intentional change regenerates the baseline
+      in the same change."
     );
     ExitCode::from(2)
 }

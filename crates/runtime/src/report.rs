@@ -125,8 +125,10 @@ pub fn report_json(summary: &RunSummary) -> String {
     s
 }
 
-/// Escapes a string for a JSON string literal.
-fn escape(s: &str) -> String {
+/// Escapes a string for a JSON string literal (the crate's one copy,
+/// also used by the cache; it mirrors `t3_trace::metrics::escape_json`
+/// so that this crate stays dependency-free).
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

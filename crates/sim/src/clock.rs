@@ -13,9 +13,11 @@
 //! last cycle it stepped; `MemoryController::advance_clock` wraps both
 //! kinds of leap for those loops. A loop over many devices can also skip,
 //! cycle by cycle, each one that [`Clock::due`] says has nothing to
-//! do; the skipped device replays its own gap when it next steps.
-//! [`SimMode::Stepped`] runs the same loop with leaping and skipping
-//! off, and the clock alone owns the convergence guard.
+//! do; the skipped device replays its own gap when it next steps. A
+//! loop that walks time in bounded windows opens each next window with
+//! [`Clock::open_window`], which leaps a quiescent window end to the
+//! next event. [`SimMode::Stepped`] runs the same loop with leaping and
+//! skipping off, and the clock alone owns the convergence guard.
 
 use std::ops::Range;
 
@@ -145,6 +147,30 @@ impl Clock {
         (horizon > self.now + 1).then_some(horizon)
     }
 
+    /// Opens the next window of `len` cycles once a bounded clock has
+    /// run to its end. It starts at `now`, or, in fast-forward mode with
+    /// every controller `quiescent`, at the earliest event `next_event`
+    /// predicts when that lies later (`None`: nothing pending, start at
+    /// `now`); the caller replays the skipped gap. Stepped mode never
+    /// asks for the prediction.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the window would start at [`Clock::LIMIT`] or later.
+    pub fn open_window(
+        &mut self,
+        len: Cycle,
+        quiescent: bool,
+        next_event: impl FnOnce() -> Option<Cycle>,
+    ) {
+        debug_assert!(!self.running(), "a window opens once the last one ends");
+        if quiescent && self.mode == SimMode::FastForward {
+            self.now = next_event().map_or(self.now, |t| t.max(self.now));
+        }
+        self.end = Some(self.now + len);
+        assert!(self.now < Self::LIMIT, "simulation failed to converge");
+    }
+
     /// Lands `now` on `at`, the last cycle a busy leap stepped the
     /// controller through: the loop steps its other components at `at`
     /// and must not step the controller there a second time.
@@ -233,6 +259,36 @@ mod tests {
         assert!(stepped.running());
         assert_eq!(stepped.advance(true, || None), None);
         assert!(!stepped.running());
+    }
+
+    #[test]
+    fn open_window_leaps_only_when_fast_forward_and_quiescent() {
+        let mut fast = Clock::bounded(SimMode::FastForward, 0, 4);
+        let _ = fast.advance(true, || None);
+        assert_eq!(fast.now(), 4);
+        // Busy controllers: the next window starts at the end.
+        fast.open_window(4, false, || panic!("busy clock predicted"));
+        assert_eq!(fast.now(), 4);
+        assert!(fast.running());
+        let _ = fast.advance(true, || None);
+        assert_eq!(fast.now(), 8);
+        // Quiescent: leap to a later event, never back to an earlier one.
+        fast.open_window(4, true, || Some(30));
+        assert_eq!(fast.now(), 30);
+        let _ = fast.advance(true, || None);
+        assert_eq!(fast.now(), 34);
+        fast.open_window(4, true, || Some(20));
+        assert_eq!(fast.now(), 34);
+        let _ = fast.advance(true, || None);
+        fast.open_window(4, true, || None);
+        assert_eq!(fast.now(), 38);
+
+        // Stepped: windows follow back to back.
+        let mut stepped = Clock::bounded(SimMode::Stepped, 0, 1);
+        let _ = stepped.advance(true, || None);
+        stepped.open_window(1, true, || panic!("stepped clock predicted"));
+        assert_eq!(stepped.now(), 1);
+        assert!(stepped.running());
     }
 
     #[test]

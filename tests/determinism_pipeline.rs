@@ -159,18 +159,18 @@ fn serving_fast_forward_artifacts_are_byte_identical_to_stepped() {
 }
 
 #[test]
-fn sharded_engine_matches_sequential_at_every_width() {
+fn explicit_engine_fast_forward_matches_stepped() {
     use t3_core::engine::FusedOptions;
-    use t3_core::multigpu::{run_multi_gpu_fused_rs_on, run_multi_gpu_fused_rs_sharded};
+    use t3_core::multigpu::run_multi_gpu_fused_rs_on;
     use t3_sim::config::LinkConfig;
     use t3_topo::Topology;
 
-    // Every width, uneven shards (3 of 16) included, in both modes must
-    // reproduce the stepped single-shard reference byte for byte. The
-    // fabrics span the barrier leap's regimes: the ring keeps every
-    // device busy, the hierarchical fabric's slow leaders leave most
-    // devices idle, and the latency-bound inter-node ring (25 GB/s,
-    // 5 us) spends most cycles with every controller drained.
+    // The fast-forward loop must reproduce the stepped reference byte
+    // for byte. The fabrics span the window-end leap's regimes: the
+    // ring keeps every device busy, the hierarchical fabric's slow
+    // leaders leave most devices idle, and the latency-bound
+    // inter-node ring (25 GB/s, 5 us) spends most cycles with every
+    // controller drained.
     let sys = t3_sim::config::SystemConfig::paper_default().with_num_gpus(16);
     let mut slow = sys.link.clone();
     slow.link_gb_s /= 4.0;
@@ -196,48 +196,35 @@ fn sharded_engine_matches_sequential_at_every_width() {
             shape(256, 1024, 128),
         ),
     ];
-    let opts_in = |mode| FusedOptions {
-        mode,
-        ..FusedOptions::default()
-    };
     for (name, topo, shape) in cases {
         let grid = t3_gpu::gemm::GemmGrid::new(&sys.gpu, shape);
-        let run = |mode, threads| {
-            let (grid, opts) = (grid.clone(), opts_in(mode));
-            let r = match threads {
-                1 => run_multi_gpu_fused_rs_on(&sys, grid, &opts, &topo, None),
-                _ => run_multi_gpu_fused_rs_sharded(&sys, grid, &opts, &topo, threads),
+        let run = |mode| {
+            let opts = FusedOptions {
+                mode,
+                ..FusedOptions::default()
             };
+            let r = run_multi_gpu_fused_rs_on(&sys, grid.clone(), &opts, &topo, None);
             format!("{r:?}")
         };
-        let reference = run(SimMode::Stepped, 1);
-        for mode in [SimMode::Stepped, SimMode::FastForward] {
-            for threads in [1, 2, 3, 16] {
-                if (mode, threads) == (SimMode::Stepped, 1) {
-                    continue;
-                }
-                assert_eq!(
-                    reference,
-                    run(mode, threads),
-                    "{name}: {threads} shard(s) diverged from the stepped single shard ({} mode)",
-                    mode.label()
-                );
-            }
-        }
+        assert_eq!(
+            run(SimMode::Stepped),
+            run(SimMode::FastForward),
+            "{name}: fast-forward diverged from the stepped reference"
+        );
     }
 }
 
 #[test]
 fn explicit_engine_runs_a_grid_with_fewer_workgroups_than_gpus() {
     use t3_core::engine::{run_fused_gemm_rs_instrumented, FusedOptions};
-    use t3_core::multigpu::{run_multi_gpu_fused_rs_on, run_multi_gpu_fused_rs_sharded};
+    use t3_core::multigpu::run_multi_gpu_fused_rs_on;
     use t3_gpu::gemm::{GemmGrid, GemmShape};
     use t3_topo::Topology;
     use t3_trace::{Event, Instruments};
 
     // 256x256x64 is 4 WGs, so 12 of the 16 chunks are empty. On the
     // ring their Tracker-triggered DMAs fire with nothing to read or
-    // send; every fabric, mode and width must agree byte for byte.
+    // send; on every fabric the two modes must agree byte for byte.
     let sys = t3_sim::config::SystemConfig::paper_default().with_num_gpus(16);
     let grid = GemmGrid::new(&sys.gpu, GemmShape::new(256, 256, 64));
     assert_eq!(grid.num_wgs(), 4);
@@ -283,29 +270,17 @@ fn explicit_engine_runs_a_grid_with_fewer_workgroups_than_gpus() {
         ),
     ];
     for (name, topo) in cases {
-        let run = |mode, threads| {
-            let (grid, opts) = (grid.clone(), opts_in(mode));
-            match threads {
-                1 => run_multi_gpu_fused_rs_on(&sys, grid, &opts, &topo, None),
-                _ => run_multi_gpu_fused_rs_sharded(&sys, grid, &opts, &topo, threads),
-            }
-        };
-        let reference = run(SimMode::Stepped, 1);
+        let run = |mode| run_multi_gpu_fused_rs_on(&sys, grid.clone(), &opts_in(mode), &topo, None);
+        let reference = run(SimMode::Stepped);
         if name == "ring" {
             // Every device fires all 14 of its DMAs, most of them empty.
             assert_eq!((reference.cycles, reference.dma_transfers), (21_044, 224));
         }
-        let reference = format!("{reference:?}");
-        for mode in [SimMode::Stepped, SimMode::FastForward] {
-            for threads in [1, 2, 16] {
-                assert_eq!(
-                    reference,
-                    format!("{:?}", run(mode, threads)),
-                    "{name}: {threads} shard(s) diverged from the stepped single shard ({} mode)",
-                    mode.label()
-                );
-            }
-        }
+        assert_eq!(
+            format!("{reference:?}"),
+            format!("{:?}", run(SimMode::FastForward)),
+            "{name}: fast-forward diverged from the stepped reference"
+        );
     }
 }
 

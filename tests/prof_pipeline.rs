@@ -161,13 +161,13 @@ fn bench_baseline_gates_regressions() {
     let verdict = check::check(&baseline, &baseline, check::DEFAULT_TOLERANCE_PERMILLE);
     assert!(verdict.passed(), "{}", verdict.render_text());
 
-    // Injected regression: grow the largest job past the band.
+    // Injected regression: grow the largest job past the (exact) band.
     let mut regressed = baseline.clone();
     let biggest = regressed
         .iter_mut()
         .max_by_key(|j| j.sim_cycles)
         .expect("non-empty");
-    biggest.sim_cycles += biggest.sim_cycles / 100; // +1% > ±0.5%
+    biggest.sim_cycles += biggest.sim_cycles / 100; // +1%
     let verdict = check::check(&regressed, &baseline, check::DEFAULT_TOLERANCE_PERMILLE);
     assert!(!verdict.passed(), "{}", verdict.render_text());
 
