@@ -26,6 +26,17 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> examples (release, ~1 s together)"
+# The root package's examples drive the public API end to end; a panic
+# in any of them fails the gate. Their output is for readers, not
+# checked here.
+cargo build --release --examples
+for example in quickstart custom_collective inference_generation \
+    tnlg_sublayers megatron_training "multinode_tp --fast"; do
+    # shellcheck disable=SC2086 # the --fast argument splits on purpose
+    ./target/release/examples/$example > /dev/null
+done
+
 echo "==> benchmark fmt, clippy and tests (unit tests + manifest check)"
 # benchmark/ is its own workspace that imports the crates' public
 # APIs; formatting, linting and testing it here keeps an API change

@@ -26,9 +26,18 @@
 //! All DRAM traffic flows through one [`MemoryController`] under the
 //! configured arbitration policy — this is where T3 and T3-MCA differ
 //! (Sections 4.5, 6.1.2, 6.1.3).
+//!
+//! The ring and the direct-link schedules of Section 7.1 (direct
+//! reduce-scatter, all-to-all) run through one loop. Each entry point
+//! hands it device 0's [`OutputConfig`], a mirror map (which position's
+//! copy a send from position `p` stands for: `p + 1` on the ring, the
+//! owned position 0 on the direct links) and an announce lag (the
+//! cycles between a copy's arrival and its entry into the comm stream:
+//! 1 on the ring, or the un-overlapped pipeline depth without stagger;
+//! 0 on the direct links, which ignore `stagger`).
 
 use crate::addrmap::{ChunkRoute, OutputConfig};
-use crate::kernel::{count_nonempty_wfs, record_local_stores, split_at_chunks, ChunkState, Feed};
+use crate::kernel::{record_local_stores, split_at_chunks, ChunkState, Feed};
 use crate::tracker::{Tracker, TrackerConfig};
 use t3_gpu::engine::{GemmEngine, GemmEvent};
 use t3_gpu::gemm::GemmGrid;
@@ -119,8 +128,8 @@ pub struct FusedRunResult {
     pub link_bytes_sent: Bytes,
 }
 
-/// Tag space: link messages tagged `>= TAG_REMOTE` are warm-up remote
-/// stores; below that, the tag is the DMA'd chunk's position.
+/// Tag space: link messages tagged `>= TAG_REMOTE` are remote stores;
+/// below that, the tag is the DMA'd chunk's position.
 const TAG_REMOTE: u64 = 1 << 32;
 
 /// Mirror traffic scheduled to enter the comm stream at `at`.
@@ -131,46 +140,101 @@ struct PendingIncoming {
     bytes: Bytes,
 }
 
-/// Schedules the mirrored incoming bytes that raise `position`'s
-/// cumulative announcement (`announced`) to `target`, arriving at `at`.
-fn mirror_incoming(
-    pending: &mut Vec<PendingIncoming>,
-    announced: &mut Bytes,
-    at: Cycle,
-    position: usize,
-    target: Bytes,
-) {
-    let bytes = target.saturating_sub(*announced);
-    if bytes > 0 {
-        *announced = target;
-        pending.push(PendingIncoming {
-            at,
-            position,
-            bytes,
-        });
-    }
+/// The mirrored incoming traffic (Section 5.1.1): by homogeneity, a
+/// peer sends this device the copy of position `map(p)` exactly as this
+/// device sends position `p`, so each send schedules the proportional
+/// copy to enter the comm stream `lag` cycles after the send arrives.
+struct Mirror {
+    map: fn(usize) -> usize,
+    lag: Cycle,
+    /// Bytes sent so far and copy bytes announced so far, per sending
+    /// position (exact cursors, so the full copy is announced once the
+    /// position has sent in full).
+    sent: Vec<Bytes>,
+    announced: Vec<Bytes>,
+    pending: Vec<PendingIncoming>,
 }
 
-/// Hands every announcement due by `now` to `release`.
-fn release_due(
-    pending: &mut Vec<PendingIncoming>,
-    now: Cycle,
-    mut release: impl FnMut(PendingIncoming),
-) {
-    let mut i = 0;
-    while i < pending.len() {
-        if pending[i].at <= now {
-            release(pending.swap_remove(i));
-        } else {
-            i += 1;
+impl Mirror {
+    fn new(n: usize, map: fn(usize) -> usize, lag: Cycle) -> Self {
+        Mirror {
+            map,
+            lag,
+            sent: vec![0; n],
+            announced: vec![0; n],
+            pending: Vec::new(),
         }
     }
+
+    /// Records `bytes` sent from position `p` that arrive at `arrival`,
+    /// and schedules the matching part of the copy of `map(p)`.
+    fn send(&mut self, chunks: &[ChunkState], p: usize, bytes: Bytes, arrival: Cycle) {
+        let m = (self.map)(p);
+        let (src, dst) = (chunks[p].bytes, chunks[m].bytes);
+        self.sent[p] += bytes;
+        let target = if self.sent[p] >= src {
+            dst
+        } else {
+            self.sent[p] * dst / src
+        };
+        let fresh = target.saturating_sub(self.announced[p]);
+        if fresh > 0 {
+            self.announced[p] = target;
+            self.pending.push(PendingIncoming {
+                at: arrival + self.lag,
+                position: m,
+                bytes: fresh,
+            });
+        }
+    }
+
+    /// Hands every announcement due by `now` to `release`.
+    fn release_due(&mut self, now: Cycle, mut release: impl FnMut(PendingIncoming)) {
+        let mut i = 0;
+        while i < self.pending.len() {
+            if self.pending[i].at <= now {
+                release(self.pending.swap_remove(i));
+            } else {
+                i += 1;
+            }
+        }
+    }
+
+    /// The earliest cycle an announcement enters the comm stream (never
+    /// before the next step).
+    fn next_release(&self, now: Cycle) -> Option<Cycle> {
+        self.pending.iter().map(|p| p.at.max(now + 1)).min()
+    }
 }
 
-/// The earliest cycle an announcement enters the comm stream (never
-/// before the next step).
-fn next_release(pending: &[PendingIncoming], now: Cycle) -> Option<Cycle> {
-    pending.iter().map(|p| p.at.max(now + 1)).min()
+/// Puts a DMA'd chunk on `link`; when instrumented, also records its
+/// serialisation as an [`Event::ChunkSend`] span. Returns the arrival.
+fn send_dma(
+    link: &mut Link,
+    now: Cycle,
+    cmd: DmaCommand,
+    mut ins: Option<&mut Instruments>,
+) -> Cycle {
+    let start = link.busy_until().max(now);
+    let arrival = link.send_traced(now, cmd.id, cmd.bytes, reborrow(&mut ins));
+    if let Some(ins) = ins {
+        let end = link.busy_until();
+        let (chunk, bytes) = (cmd.id, cmd.bytes);
+        let hops = 1;
+        ins.record(
+            end,
+            Event::ChunkSend {
+                chunk,
+                bytes,
+                hops,
+                start,
+                end,
+            },
+        );
+        ins.add("dma.chunks_sent", 1);
+        ins.add("dma.bytes_sent", bytes);
+    }
+    arrival
 }
 
 /// Runs the fused GEMM + ring reduce-scatter on one (mirrored) GPU.
@@ -218,59 +282,156 @@ pub fn run_fused_gemm_rs_instrumented(
     sys: &SystemConfig,
     grid: GemmGrid,
     opts: &FusedOptions,
-    mut ins: Option<&mut Instruments>,
+    ins: Option<&mut Instruments>,
 ) -> FusedRunResult {
     let n = sys.num_gpus;
-    let config = OutputConfig::ring_reduce_scatter(Ring::new(n), 0);
-    let update_cost = opts.substrate.update_cost_multiplier(&sys.mem);
-
     // Position p is the p-th chunk this GPU computes. Ring-RS has two
     // mirror-image schedules (send-to-next with descending chunk order,
     // or send-to-prev with ascending); we simulate the ascending one so
     // that the staggered schedule of the simulated GPU coincides with
     // the GEMM's natural WG order — the routes per position (warm-up
     // remote, N-2 DMA steps, owned last) are identical either way.
+    let config = OutputConfig::ring_reduce_scatter(Ring::new(n), 0);
+    // A copy enters the comm stream one cycle after it arrives. Without
+    // stagger it waits out the ring pipeline depth that fine-grained
+    // overlap can no longer hide (see DESIGN.md).
+    let lag = if opts.stagger {
+        1
+    } else {
+        let avg_chunk = grid.wg_range_output_bytes(0, grid.num_wgs()) / n as u64;
+        let depth = (n as u64).saturating_sub(2)
+            // t3-lint: allow(float-cycles) -- pipeline-depth penalty uses the Link's own ceil rounding; pinned by no-stagger ablation tests
+            * ((avg_chunk as f64 / sys.link.bytes_per_cycle()).ceil() as Cycle
+                + sys.link.latency_cycles());
+        depth.max(1)
+    };
+    run_mirrored(sys, grid, opts, &config, |p| p + 1, lag, ins)
+}
+
+/// Runs the fused GEMM + *direct* reduce-scatter of Section 7.1 on a
+/// fully-connected topology: every non-owned chunk leaves as
+/// fine-grained remote updates on a dedicated link while the GEMM
+/// stores it, and the owned chunk is completed in memory by the
+/// mirrored incoming updates of the `N-1` peers. The collective has
+/// **zero** dedicated DRAM accesses — no DMA reads, no staging writes.
+///
+/// # Panics
+///
+/// Panics if the simulation fails to converge.
+pub fn run_fused_gemm_direct_rs(
+    sys: &SystemConfig,
+    grid: GemmGrid,
+    opts: &FusedOptions,
+) -> FusedRunResult {
+    let config = OutputConfig::direct_reduce_scatter(sys.num_gpus, 0);
+    run_mirrored(sys, grid, opts, &config, |_| 0, 0, None)
+}
+
+/// Runs a fused GEMM + all-to-all (Sections 7.1/7.2, expert
+/// parallelism): chunk `j` of the output is remote-*stored* to device
+/// `j` as the GEMM produces it (no local copy, no reduction), and the
+/// mirrored incoming chunks land in this device's slots as plain
+/// writes. Like direct-RS, the collective itself performs no dedicated
+/// DRAM reads.
+///
+/// # Panics
+///
+/// Panics if the simulation fails to converge.
+pub fn run_fused_gemm_all_to_all(
+    sys: &SystemConfig,
+    grid: GemmGrid,
+    opts: &FusedOptions,
+) -> FusedRunResult {
+    let config = OutputConfig::all_to_all(sys.num_gpus, 0);
+    run_mirrored(sys, grid, opts, &config, |_| 0, 0, None)
+}
+
+/// The one mirrored loop, for simulated device 0 under `config`.
+///
+/// Position `p` holds chunk `p` of the GEMM's output, and its route
+/// decides what the GEMM's stores to it do:
+///
+/// * a remote route sends them on the link to its destination as they
+///   are made;
+/// * a local route writes them as uncached stores, counted in the
+///   [`Tracker`] at memory-controller enqueue; a DMA route then fires
+///   the pre-programmed DMA once every wavefront region of the chunk is
+///   complete, and the [`DmaEngine`] reads the chunk once and sends it.
+///
+/// There is one link per destination the configuration routes to. Every
+/// send from `p` schedules the proportional copy of position
+/// `mirror(p)` to enter the comm stream at its arrival plus `lag`; those
+/// copies are what complete the tracked chunks. A sending position with
+/// no workgroups (a grid with fewer workgroups than devices) sends
+/// nothing, so its copy is announced in full once the GEMM's stores
+/// pass it, arriving one link latency plus the copy's serialisation
+/// later.
+///
+/// A `RemoteStore` route (all-to-all) moves data only: local stores and
+/// incoming copies are plain writes (the copies as
+/// [`TrafficClass::AgWrite`]) and nothing is tracked. Otherwise local
+/// stores are NMC updates and the copies [`TrafficClass::RsUpdate`]s.
+fn run_mirrored(
+    sys: &SystemConfig,
+    grid: GemmGrid,
+    opts: &FusedOptions,
+    config: &OutputConfig,
+    mirror: fn(usize) -> usize,
+    lag: Cycle,
+    mut ins: Option<&mut Instruments>,
+) -> FusedRunResult {
+    let n = config.num_chunks();
+    let routes: Vec<ChunkRoute> = (0..n).map(|p| config.route(p)).collect();
+    let reduce = !routes
+        .iter()
+        .any(|r| matches!(r, ChunkRoute::RemoteStore { .. }));
+    let (incoming_class, update_cost) = if reduce {
+        let cost = opts.substrate.update_cost_multiplier(&sys.mem);
+        (TrafficClass::RsUpdate, cost)
+    } else {
+        (TrafficClass::AgWrite, 1.0)
+    };
     let bounds: Vec<(u64, u64)> = (0..n)
         .map(|p| grid.chunk_wg_bounds(n as u64, p as u64))
         .collect();
+    // One link per destination, indexed by device; each sending
+    // position hands its copy's full pass to `mirror(p)`.
+    let mut wire = vec![0; n];
+    let mut links: Vec<Link> = Vec::new();
+    let mut passes = vec![0; n];
+    for (p, dst) in routes.iter().enumerate() {
+        let Some(dst) = dst.destination() else {
+            continue;
+        };
+        if !routes[..p].iter().any(|r| r.destination() == Some(dst)) {
+            wire[dst] = links.len();
+            links.push(Link::new(&sys.link));
+        }
+        passes[mirror(p)] += 1;
+    }
     let mut chunks: Vec<ChunkState> = (0..n)
-        .map(|p| {
-            let route = config.route(p);
-            let passes = usize::from(p >= 1);
-            ChunkState::new(&grid, p, bounds[p], route, passes)
-        })
+        .map(|p| ChunkState::new(&grid, p, bounds[p], routes[p], passes[p]))
         .collect();
-    let mut incoming_announced: Vec<Bytes> = vec![0; n];
+    // Sending positions with no workgroups and their destinations, in
+    // WG order.
+    let empty: Vec<(usize, usize)> = (0..n)
+        .filter(|&p| bounds[p].0 == bounds[p].1)
+        .filter_map(|p| Some((p, routes[p].destination()?)))
+        .collect();
+    let mut empty = empty.into_iter().peekable();
 
     let mut mc = MemoryController::new(&sys.mem, opts.policy.build(sys));
     // Every fused store bypasses the LLC (uncached NMC updates or
     // remote stores).
     let mut gemm = GemmEngine::new(&sys.gpu, LlcPlan::shared(&sys.mem, &grid, false));
-    let mut dma = DmaEngine::new(&sys.link);
+    let mut dma = DmaEngine::new();
     let mut tracker = Tracker::new(TrackerConfig::paper(grid.wf_tile_elems()));
     let mut ts = opts.timeseries_bucket.map(TimeSeries::new);
-
-    let mut pending_incoming: Vec<PendingIncoming> = Vec::new();
+    let mut mirrored = Mirror::new(n, mirror, lag);
     let mut feed = Feed::new(&grid);
-    let mut remote_delivered: Bytes = 0;
 
-    // Extra delay applied to incoming announcements when stagger is
-    // disabled: the ring pipeline depth that fine-grained overlap can
-    // no longer hide (see DESIGN.md).
-    let no_stagger_delay: Cycle = if opts.stagger {
-        0
-    } else {
-        let avg_chunk = chunks.iter().map(|c| c.bytes).sum::<Bytes>() / n as u64;
-        (n as u64).saturating_sub(2)
-            // t3-lint: allow(float-cycles) -- pipeline-depth penalty uses the Link's own ceil rounding; pinned by no-stagger ablation tests
-            * ((avg_chunk as f64 / sys.link.bytes_per_cycle()).ceil() as Cycle
-                + sys.link.latency_cycles())
-    };
-
-    let mut remote_seq: u64 = 0;
     let mut first_stage_done = false;
     let mut gemm_done = false;
-    let mut dma_transfers = 0u64;
     // Set whenever a chunk counts a wavefront: only then can a DMA
     // trigger become due. Starts set, so a chunk with no wavefronts
     // fires on the first scan.
@@ -312,10 +473,12 @@ pub fn run_fused_gemm_rs_instrumented(
             },
         );
 
-        // 2. Release due incoming announcements into the comm stream.
-        release_due(&mut pending_incoming, now, |p| {
-            feed.announce(&grid, &mut chunks, p.position);
-            mc.enqueue(StreamId::Comm, TrafficClass::RsUpdate, p.bytes, update_cost);
+        // 2. Release due incoming copies into the comm stream.
+        mirrored.release_due(now, |p| {
+            if reduce {
+                feed.announce(&grid, &mut chunks, p.position);
+            }
+            mc.enqueue(StreamId::Comm, incoming_class, p.bytes, update_cost);
         });
 
         // 3. Advance the producer GEMM.
@@ -355,84 +518,59 @@ pub fn run_fused_gemm_rs_instrumented(
                 }
                 for (pos, w0, w1) in split_at_chunks(&bounds, wg_start, wg_end) {
                     let bytes = grid.wg_range_output_bytes(w0, w1);
-                    match chunks[pos].route {
-                        ChunkRoute::RemoteUpdate { .. } => {
-                            // Warm-up chunk: stores go straight onto the
-                            // link; the mirrored incoming copy for the
-                            // next chunk arrives at delivery time.
-                            dma.send_direct_traced(
-                                now,
-                                TAG_REMOTE + remote_seq,
-                                bytes,
-                                reborrow(&mut ins),
-                            );
-                            remote_seq += 1;
+                    match routes[pos] {
+                        ChunkRoute::RemoteUpdate { device }
+                        | ChunkRoute::RemoteStore { device } => {
+                            let link = &mut links[wire[device]];
+                            let tag = TAG_REMOTE + pos as u64;
+                            let arrival = link.send_traced(now, tag, bytes, reborrow(&mut ins));
+                            mirrored.send(&chunks, pos, bytes, arrival);
                         }
-                        ChunkRoute::LocalOnly {
-                            updates_per_element,
-                        }
-                        | ChunkRoute::LocalThenDmaUpdate {
-                            updates_per_element,
-                            ..
-                        } => {
-                            // Uncached NMC update stores on the compute
-                            // stream; tracked at MCQ enqueue.
+                        route => {
                             mc.enqueue(
                                 StreamId::Compute,
                                 TrafficClass::GemmWrite,
                                 bytes,
                                 update_cost,
                             );
-                            chunks[pos].triggered_wfs += record_local_stores(
-                                &mut tracker,
-                                &grid,
-                                (w0, w1),
-                                updates_per_element,
-                            );
-                            scan_triggers = true;
+                            if reduce {
+                                let updates = route.updates_per_element();
+                                chunks[pos].triggered_wfs +=
+                                    record_local_stores(&mut tracker, &grid, (w0, w1), updates);
+                                scan_triggers = true;
+                            }
                         }
-                        _ => unreachable!("ring-RS uses no other routes"),
                     }
+                }
+                // An empty sending position sends nothing; its peers'
+                // copy still comes, in full, once the stores pass it.
+                while let Some((p, dst)) = empty.next_if(|&(p, _)| bounds[p].0 <= wg_end) {
+                    let link = &links[wire[dst]];
+                    let copy = chunks[mirror(p)].bytes;
+                    let arrival = now + link.serialization_cycles(copy) + link.latency();
+                    mirrored.send(&chunks, p, 0, arrival);
                 }
             }
         }
 
-        // 4. DMA engine: our deliveries mirror incoming traffic.
-        for delivery in dma.step_traced(now, &mut mc, reborrow(&mut ins)) {
-            let at = now + no_stagger_delay;
-            if delivery.tag >= TAG_REMOTE {
-                // A warm-up portion reached the neighbour; announce the
-                // proportional mirrored portion of our position-1 chunk.
-                remote_delivered += delivery.bytes;
-                let (src_total, dst_total) = (chunks[0].bytes, chunks[1].bytes);
-                let target =
-                    (remote_delivered.saturating_mul(dst_total) / src_total).min(dst_total);
-                let announced = &mut incoming_announced[1];
-                mirror_incoming(&mut pending_incoming, announced, at, 1, target);
-            } else {
-                // Mirrored: our chunk at position `tag` reaching the
-                // neighbour IS the next chunk's incoming copy arriving
-                // here.
+        // 4. DMA engine: a completed source read goes on its wire.
+        if let Some(cmd) = dma.step(&mut mc) {
+            let arrival = send_dma(&mut links[wire[cmd.dst]], now, cmd, reborrow(&mut ins));
+            mirrored.send(&chunks, cmd.id as usize, cmd.bytes, arrival);
+        }
+        for link in &mut links {
+            for delivery in link.deliveries_until(now) {
+                if delivery.tag >= TAG_REMOTE {
+                    continue;
+                }
                 if let Some(ins) = reborrow(&mut ins) {
-                    ins.record(
-                        now,
-                        Event::ChunkRecv {
-                            chunk: delivery.tag + 1,
-                            bytes: delivery.bytes,
-                        },
-                    );
+                    // Mirrored: our DMA'd chunk reaching its destination
+                    // IS the next chunk's incoming copy arriving here.
+                    let chunk = mirror(delivery.tag as usize) as u64;
+                    let bytes = delivery.bytes;
+                    ins.record(now, Event::ChunkRecv { chunk, bytes });
                     ins.add("chunks.received", 1);
                 }
-                let next = delivery.tag as usize + 1;
-                assert!(next < chunks.len(), "owned chunk is never DMA'd");
-                let announced = &mut incoming_announced[next];
-                mirror_incoming(
-                    &mut pending_incoming,
-                    announced,
-                    at,
-                    next,
-                    chunks[next].bytes,
-                );
             }
         }
 
@@ -440,34 +578,36 @@ pub fn run_fused_gemm_rs_instrumented(
         // order, on a step that counted a wavefront.
         if std::mem::take(&mut scan_triggers) {
             for (pos, chunk) in chunks.iter_mut().enumerate() {
-                if chunk.fire_dma().is_some() {
-                    dma_transfers += 1;
-                    if let Some(ins) = reborrow(&mut ins) {
-                        ins.record(
-                            now,
-                            Event::DmaTriggerFire {
-                                chunk: pos as u64,
-                                bytes: chunk.bytes,
-                            },
-                        );
-                        ins.add("dma.triggers_fired", 1);
-                    }
-                    dma.trigger(DmaCommand {
-                        id: pos as u64,
-                        bytes: chunk.bytes,
-                        read_class: TrafficClass::RsRead,
-                    });
+                let Some(dst) = chunk.fire_dma() else {
+                    continue;
+                };
+                if let Some(ins) = reborrow(&mut ins) {
+                    ins.record(
+                        now,
+                        Event::DmaTriggerFire {
+                            chunk: pos as u64,
+                            bytes: chunk.bytes,
+                        },
+                    );
+                    ins.add("dma.triggers_fired", 1);
                 }
+                dma.trigger(DmaCommand {
+                    id: pos as u64,
+                    dst,
+                    bytes: chunk.bytes,
+                    read_class: TrafficClass::RsRead,
+                });
             }
         }
 
         // Completion: producer done, every tracked chunk complete, all
         // queues and wires drained.
         if gemm_done
-            && chunks.iter().all(ChunkState::complete)
-            && pending_incoming.is_empty()
+            && (!reduce || chunks.iter().all(ChunkState::complete))
+            && mirrored.pending.is_empty()
             && feed.is_empty()
-            && dma.is_idle(now)
+            && dma.is_idle()
+            && links.iter().all(|l| l.is_idle(now))
             && mc.is_idle()
         {
             break;
@@ -486,10 +626,12 @@ pub fn run_fused_gemm_rs_instrumented(
         let leaped = mc.advance_clock(
             &mut clock,
             |mc| {
+                let link_at = links.iter().filter_map(|l| l.next_event(now)).min();
                 let events = [
                     gemm.next_event(now, mc),
                     dma.next_event(now, mc),
-                    next_release(&pending_incoming, now),
+                    link_at,
+                    mirrored.next_release(now),
                 ];
                 events.into_iter().flatten().min()
             },
@@ -502,6 +644,7 @@ pub fn run_fused_gemm_rs_instrumented(
     }
 
     let now = clock.now();
+    let dma_transfers = dma.sent_commands();
     if let Some(ins) = reborrow(&mut ins) {
         ins.set_work("run.loop_steps", loop_steps);
         ins.set_work("run.busy_leap_cycles", busy_leap_cycles);
@@ -529,215 +672,7 @@ pub fn run_fused_gemm_rs_instrumented(
         timeseries: ts,
         dma_transfers,
         peak_tracker_entries: tracker.peak_entries(),
-        link_bytes_sent: dma.bytes_sent(),
-    }
-}
-
-/// Runs the fused GEMM + *direct* reduce-scatter of Section 7.1 on a
-/// fully-connected topology: every non-owned chunk leaves as
-/// fine-grained remote updates on a dedicated link while the GEMM
-/// stores it, and the owned chunk is completed in memory by the
-/// mirrored incoming updates of the `N-1` peers. The collective has
-/// **zero** dedicated DRAM accesses — no DMA reads, no staging writes.
-///
-/// # Panics
-///
-/// Panics if the simulation fails to converge.
-pub fn run_fused_gemm_direct_rs(
-    sys: &SystemConfig,
-    grid: GemmGrid,
-    opts: &FusedOptions,
-) -> FusedRunResult {
-    let config = OutputConfig::direct_reduce_scatter(sys.num_gpus, 0);
-    run_fused_direct(sys, grid, opts, &config)
-}
-
-/// Runs a fused GEMM + all-to-all (Sections 7.1/7.2, expert
-/// parallelism): chunk `j` of the output is remote-*stored* to device
-/// `j` as the GEMM produces it (no local copy, no reduction), and the
-/// mirrored incoming chunks land in this device's slots as plain
-/// writes. Like direct-RS, the collective itself performs no dedicated
-/// DRAM reads.
-///
-/// # Panics
-///
-/// Panics if the simulation fails to converge.
-pub fn run_fused_gemm_all_to_all(
-    sys: &SystemConfig,
-    grid: GemmGrid,
-    opts: &FusedOptions,
-) -> FusedRunResult {
-    let config = OutputConfig::all_to_all(sys.num_gpus, 0);
-    run_fused_direct(sys, grid, opts, &config)
-}
-
-/// The loop shared by the direct-link schedules, for simulated device 0
-/// (which owns chunk 0): every other chunk leaves on a dedicated link
-/// to its owner as the GEMM stores it.
-///
-/// The route of the non-owned chunks decides the rest. `RemoteUpdate`
-/// (direct-RS) reduces: local stores are NMC updates, the incoming
-/// copies are updates, and the Tracker counts the owned chunk to
-/// completion. `RemoteStore` (all-to-all) moves data only: plain local
-/// stores, plain incoming writes, nothing tracked.
-fn run_fused_direct(
-    sys: &SystemConfig,
-    grid: GemmGrid,
-    opts: &FusedOptions,
-    config: &OutputConfig,
-) -> FusedRunResult {
-    let n = sys.num_gpus;
-    let reduce = matches!(config.route(1), ChunkRoute::RemoteUpdate { .. });
-    let (incoming_class, update_cost) = if reduce {
-        let cost = opts.substrate.update_cost_multiplier(&sys.mem);
-        (TrafficClass::RsUpdate, cost)
-    } else {
-        (TrafficClass::AgWrite, 1.0)
-    };
-    let owned_updates = config.route(0).updates_per_element();
-    let bounds: Vec<(u64, u64)> = (0..n)
-        .map(|c| grid.chunk_wg_bounds(n as u64, c as u64))
-        .collect();
-    let chunk_bytes: Vec<Bytes> = bounds
-        .iter()
-        .map(|&(w0, w1)| grid.wg_range_output_bytes(w0, w1))
-        .collect();
-    let owned_bytes = chunk_bytes[0];
-
-    let mut mc = MemoryController::new(&sys.mem, opts.policy.build(sys));
-    // Every fused store bypasses the LLC (uncached NMC updates or
-    // remote stores).
-    let mut gemm = GemmEngine::new(&sys.gpu, LlcPlan::shared(&sys.mem, &grid, false));
-    // One outbound link per peer on the fully-connected topology.
-    let mut links: Vec<Link> = (0..n - 1).map(|_| Link::new(&sys.link)).collect();
-    let mut tracker = Tracker::new(TrackerConfig::paper(grid.wf_tile_elems()));
-    let mut ts = opts.timeseries_bucket.map(TimeSeries::new);
-
-    // Incoming mirror: each peer streams its copy of our owned chunk as
-    // it computes the corresponding region; by homogeneity, peer p
-    // produces it at the same time we produce chunk p's stores.
-    // Deliveries (after link latency) enter the comm stream; when
-    // reducing, the tracker's feed consumes them in WF order, N-1 full
-    // passes over the owned chunk.
-    let mut feed = Feed::new(&grid);
-    let mut triggered_wfs = 0usize;
-    let expected_wfs = if reduce {
-        feed.push(&grid, bounds[0], 0, owned_updates, n - 1);
-        count_nonempty_wfs(&grid, bounds[0])
-    } else {
-        0
-    };
-    let mut pending_incoming: Vec<PendingIncoming> = Vec::new();
-    // Exact proportional mirroring per peer chunk: bytes sent so far
-    // and incoming bytes announced so far (avoids rounding loss).
-    let mut sent_per_chunk: Vec<Bytes> = vec![0; n];
-    let mut announced_per_chunk: Vec<Bytes> = vec![0; n];
-    let mut first_stage_done = false;
-    let mut gemm_done = false;
-    let mut clock = Clock::new(opts.mode);
-    let mut mc_stepped = false;
-    mc.reset_occupancy_window();
-
-    loop {
-        let now = clock.now();
-        if !std::mem::take(&mut mc_stepped) {
-            mc.step(now, ts.as_mut());
-        }
-        feed.attribute(
-            mc.stats().bytes(TrafficClass::RsUpdate),
-            &mut tracker,
-            |_| triggered_wfs += 1,
-        );
-        release_due(&mut pending_incoming, now, |p| {
-            mc.enqueue(StreamId::Comm, incoming_class, p.bytes, update_cost);
-        });
-
-        match gemm.step(now, &mut mc) {
-            GemmEvent::Idle => {}
-            GemmEvent::Finished => gemm_done = true,
-            GemmEvent::StageStoresIssued {
-                wg_start, wg_end, ..
-            } => {
-                if !first_stage_done {
-                    mc.observe_compute_intensity(mc.avg_occupancy_fraction());
-                    first_stage_done = true;
-                }
-                for (chunk, w0, w1) in split_at_chunks(&bounds, wg_start, wg_end) {
-                    let bytes = grid.wg_range_output_bytes(w0, w1);
-                    if chunk == 0 {
-                        // Our own chunk stays local, tracked at MCQ
-                        // enqueue when reducing.
-                        mc.enqueue(
-                            StreamId::Compute,
-                            TrafficClass::GemmWrite,
-                            bytes,
-                            update_cost,
-                        );
-                        if reduce {
-                            triggered_wfs +=
-                                record_local_stores(&mut tracker, &grid, (w0, w1), owned_updates);
-                        }
-                        continue;
-                    }
-                    // Remote stores on the dedicated link to the chunk's
-                    // owner (each peer has its own wire).
-                    let link = (chunk - 1) % links.len();
-                    let arrival = links[link].send(now, chunk as u64, bytes);
-                    // Mirror: a peer's remote stores for our owned chunk
-                    // arrive with the same timing, proportionally sized
-                    // (an exact cursor, so the full owned chunk is
-                    // announced once the peer chunk completes).
-                    sent_per_chunk[chunk] += bytes;
-                    let target = if sent_per_chunk[chunk] >= chunk_bytes[chunk] {
-                        owned_bytes
-                    } else {
-                        sent_per_chunk[chunk] * owned_bytes / chunk_bytes[chunk]
-                    };
-                    let announced = &mut announced_per_chunk[chunk];
-                    mirror_incoming(&mut pending_incoming, announced, arrival, 0, target);
-                }
-            }
-        }
-
-        // Drain link deliveries (arrival times were captured at send).
-        for l in &mut links {
-            let _ = l.deliveries_until(now);
-        }
-        if gemm_done
-            && triggered_wfs == expected_wfs
-            && pending_incoming.is_empty()
-            && links.iter().all(|l| l.is_idle(now))
-            && mc.is_idle()
-        {
-            break;
-        }
-        // Leaps as in the ring loop.
-        let watches = [gemm.read_watch(), feed.front_watch(TrafficClass::RsUpdate)];
-        let leaped = mc.advance_clock(
-            &mut clock,
-            |mc| {
-                let link_at = links.iter().filter_map(|l| l.next_event(now)).min();
-                let events = [
-                    gemm.next_event(now, mc),
-                    link_at,
-                    next_release(&pending_incoming, now),
-                ];
-                events.into_iter().flatten().min()
-            },
-            &watches,
-            ts.as_mut(),
-            None,
-        );
-        mc_stepped = leaped > 0;
-    }
-
-    FusedRunResult {
-        cycles: clock.now(),
-        stats: mc.stats().clone(),
-        timeseries: ts,
-        dma_transfers: 0,
-        peak_tracker_entries: tracker.peak_entries(),
-        link_bytes_sent: links.iter().map(|l| l.total_sent()).sum(),
+        link_bytes_sent: links.iter().map(Link::total_sent).sum(),
     }
 }
 
@@ -1002,12 +937,118 @@ mod tests {
     }
 
     #[test]
+    fn instrumented_ring_puts_each_dma_read_on_the_wire() {
+        // The wire side of the DMA engine: each fired chunk's source
+        // read, once complete, serialises on the link as one ChunkSend
+        // span, is counted in the dma/link metrics, and its mirrored
+        // copy arrives no earlier than the read plus the wire time.
+        let s = sys();
+        let mut ins = Instruments::full();
+        let opts = FusedOptions::default();
+        let r = run_fused_gemm_rs_instrumented(&s, test_grid(&s), &opts, Some(&mut ins));
+        let link = Link::new(&s.link);
+        let records = ins.tracer.as_ref().expect("tracer on").records();
+        let (mut fires, mut sends, mut recvs) = (Vec::new(), Vec::new(), Vec::new());
+        for rec in records {
+            match rec.event {
+                Event::DmaTriggerFire { chunk, bytes } => fires.push((rec.cycle, chunk, bytes)),
+                Event::ChunkSend { .. } => sends.push(rec.event),
+                Event::ChunkRecv { chunk, bytes } => recvs.push((rec.cycle, chunk, bytes)),
+                _ => {}
+            }
+        }
+        assert_eq!(fires.len() as u64, r.dma_transfers);
+        assert_eq!((sends.len(), recvs.len()), (fires.len(), fires.len()));
+        for ((fire, send), recv) in fires.into_iter().zip(sends).zip(&recvs) {
+            let (fired_at, chunk, bytes) = fire;
+            let serialise = link.serialization_cycles(bytes);
+            let want = Event::ChunkSend {
+                chunk,
+                bytes,
+                hops: 1,
+                start: recv.0 - link.latency() - serialise,
+                end: recv.0 - link.latency(),
+            };
+            assert_eq!(
+                send, want,
+                "chunk {chunk}: one span, delivered a latency later"
+            );
+            assert_eq!(
+                (recv.1, recv.2),
+                (chunk + 1, bytes),
+                "the next chunk's copy"
+            );
+            let read = bytes as f64 / s.mem.bytes_per_cycle();
+            let earliest = fired_at as f64 + read + (serialise + link.latency()) as f64;
+            assert!(recv.0 as f64 >= earliest, "chunk {chunk} beat read + wire");
+        }
+        let m = ins.metrics.as_ref().expect("metrics on");
+        let read = r.stats.bytes(TrafficClass::RsRead);
+        assert_eq!(m.counter("dma.chunks_sent"), r.dma_transfers);
+        assert_eq!(m.counter("dma.bytes_sent"), read, "each chunk read once");
+        assert_eq!(m.counter("link.bytes_sent"), r.link_bytes_sent);
+        assert!(
+            r.link_bytes_sent > read,
+            "the warm-up chunk shares the link"
+        );
+    }
+
+    #[test]
+    fn mirrored_schedules_finish_on_grids_with_fewer_workgroups_than_gpus() {
+        // 128k x 128 is k WGs on 8 GPUs, so the trailing 8 - k chunks
+        // are empty and send nothing. Their peers' copies of the owned
+        // chunk still arrive in full: direct-RS counts N-1 incoming
+        // passes, all-to-all receives N-1 owned-chunk slots.
+        let s = sys();
+        let n = s.num_gpus as u64;
+        type Run = fn(&SystemConfig, GemmGrid, &FusedOptions) -> FusedRunResult;
+        let runs: [(Run, TrafficClass); 3] = [
+            (run_fused_gemm_rs, TrafficClass::RsUpdate),
+            (run_fused_gemm_direct_rs, TrafficClass::RsUpdate),
+            (run_fused_gemm_all_to_all, TrafficClass::AgWrite),
+        ];
+        for k in [1, 2, 3, 5, 7, 9, 15] {
+            let grid = GemmGrid::new(&s.gpu, GemmShape::new(128 * k, 128, 64));
+            let (w0, w1) = grid.chunk_wg_bounds(n, 0);
+            let owned = grid.wg_range_output_bytes(w0, w1);
+            for (i, (run, incoming)) in runs.into_iter().enumerate() {
+                let [stepped, fast] = [SimMode::Stepped, SimMode::FastForward].map(|mode| {
+                    let opts = FusedOptions {
+                        mode,
+                        ..FusedOptions::default()
+                    };
+                    run(&s, grid.clone(), &opts)
+                });
+                assert_eq!(format!("{stepped:?}"), format!("{fast:?}"), "k={k} run {i}");
+                if i > 0 {
+                    let got = fast.stats.bytes(incoming);
+                    assert_eq!(got, (n - 1) * owned, "k={k} run {i}: incoming copies");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn direct_and_all_to_all_runs_are_pinned_in_both_modes() {
-        // Pinned regression: the full result of both direct-link
-        // schedules, identical whether time is stepped or leaped.
+        // Pinned regression: the full result of every mirrored schedule
+        // (the ring with and without stagger, and both direct-link
+        // schedules), identical whether time is stepped or leaped.
         let s = sys();
         type Run = fn(&SystemConfig, GemmGrid, &FusedOptions) -> FusedRunResult;
-        let cases: [(Run, &str); 2] = [
+        fn ring_without_stagger(
+            s: &SystemConfig,
+            grid: GemmGrid,
+            opts: &FusedOptions,
+        ) -> FusedRunResult {
+            let opts = FusedOptions {
+                stagger: false,
+                ..*opts
+            };
+            run_fused_gemm_rs(s, grid, &opts)
+        }
+        let cases: [(Run, &str); 4] = [
+            (run_fused_gemm_rs, "FusedRunResult { cycles: 438803, stats: TrafficStats { bytes: [8388608, 29360128, 25165824, 0, 29360128, 0, 0] }, timeseries: None, dma_transfers: 6, peak_tracker_entries: 2560, link_bytes_sent: 29360128 }"),
+            (ring_without_stagger, "FusedRunResult { cycles: 2066243, stats: TrafficStats { bytes: [8388608, 29360128, 25165824, 0, 29360128, 0, 0] }, timeseries: None, dma_transfers: 6, peak_tracker_entries: 6656, link_bytes_sent: 29360128 }"),
             (run_fused_gemm_direct_rs, "FusedRunResult { cycles: 294756, stats: TrafficStats { bytes: [8388608, 4194304, 0, 0, 29360128, 0, 0] }, timeseries: None, dma_transfers: 0, peak_tracker_entries: 1024, link_bytes_sent: 29360128 }"),
             (run_fused_gemm_all_to_all, "FusedRunResult { cycles: 293436, stats: TrafficStats { bytes: [8388608, 4194304, 0, 0, 0, 0, 29360128] }, timeseries: None, dma_transfers: 0, peak_tracker_entries: 0, link_bytes_sent: 29360128 }"),
         ];

@@ -84,7 +84,8 @@ use crate::tracker::{Tracker, TrackerConfig};
 use t3_gpu::engine::{GemmEngine, GemmEvent};
 use t3_gpu::gemm::GemmGrid;
 use t3_gpu::llc_plan::LlcPlan;
-use t3_mem::controller::{MemoryController, StreamId, Watch};
+use t3_mem::controller::{MemoryController, StreamId};
+use t3_net::dma::{DmaCommand, DmaEngine};
 use t3_net::ring::Ring;
 use t3_sim::clock::Clock;
 use t3_sim::config::SystemConfig;
@@ -140,18 +141,14 @@ struct Gpu {
     /// Per-position WG bounds in the device's execution order.
     local_bounds: Vec<(u64, u64)>,
     feed: Feed,
-    /// The DMA source read in flight: (position, destination,
-    /// serviced-read target).
-    dma_reading: Option<(usize, usize, Bytes)>,
-    /// Fired DMAs awaiting their source read: (position, destination).
-    dma_queue: VecDeque<(usize, usize)>,
+    /// Fired DMAs: their source reads, one in flight, in fire order.
+    dma: DmaEngine,
     first_stage_done: bool,
     gemm_done: bool,
     /// Set whenever a chunk counts a wavefront: only then can a DMA
     /// trigger become due.
     scan_triggers: bool,
     finished_at: Option<Cycle>,
-    dma_transfers: u64,
     /// The next event as predicted after the device's last step.
     next: Option<Cycle>,
     /// Set by a busy leap: the controller has already stepped through
@@ -171,8 +168,7 @@ impl Gpu {
     fn finished(&self) -> bool {
         self.mc.is_idle()
             && self.gemm_done
-            && self.dma_reading.is_none()
-            && self.dma_queue.is_empty()
+            && self.dma.is_idle()
             && self.feed.is_empty()
             && self.chunks.iter().all(ChunkState::complete)
     }
@@ -184,11 +180,10 @@ fn send_dma(
     fabric: &mut Fabric,
     now: Cycle,
     src: usize,
-    dst: usize,
-    tag: u64,
-    bytes: Bytes,
+    cmd: DmaCommand,
     ins: Option<&mut Instruments>,
 ) {
+    let (dst, tag, bytes) = (cmd.dst, cmd.id, cmd.bytes);
     let Some(ins) = ins else {
         fabric.send_traced(now, src, dst, tag, bytes, None);
         return;
@@ -302,14 +297,12 @@ fn build_run(
                 chunks,
                 local_bounds,
                 feed: Feed::new(grid),
-                dma_reading: None,
-                dma_queue: VecDeque::new(),
+                dma: DmaEngine::new(),
                 first_stage_done: false,
                 gemm_done: false,
                 // Chunks with no wavefronts fire on the first scan.
                 scan_triggers: true,
                 finished_at: None,
-                dma_transfers: 0,
                 // Every device steps at cycle 0, where its GEMM engine
                 // re-anchors its launch.
                 next: Some(0),
@@ -453,30 +446,15 @@ fn step_device(
         }
     }
 
-    // DMA engine: one source read in flight, then the fabric.
-    if let Some((pos, dest, target)) = gpu.dma_reading {
-        if gpu.mc.stats().bytes(TrafficClass::RsRead) >= target {
-            let c = &gpu.chunks[pos];
-            let tag = c.global_chunk as u64;
-            send_dma(fabric, now, d, dest, tag, c.bytes, reborrow(&mut ins));
-            gpu.dma_transfers += 1;
-            gpu.dma_reading = None;
-        }
-    }
-    if gpu.dma_reading.is_none() {
-        if let Some((pos, dest)) = gpu.dma_queue.pop_front() {
-            let bytes = gpu.chunks[pos].bytes;
-            let target = gpu.mc.stats().bytes(TrafficClass::RsRead) + bytes;
-            gpu.mc
-                .enqueue(StreamId::Comm, TrafficClass::RsRead, bytes, 1.0);
-            gpu.dma_reading = Some((pos, dest, target));
-        }
+    // DMA engine: a completed source read goes into the fabric.
+    if let Some(cmd) = gpu.dma.step(&mut gpu.mc) {
+        send_dma(fabric, now, d, cmd, reborrow(&mut ins));
     }
     // Fire DMAs for completed steady-state chunks, in position order,
     // on a step that counted a wavefront.
     if std::mem::take(&mut gpu.scan_triggers) {
-        for (pos, c) in gpu.chunks.iter_mut().enumerate() {
-            let Some(dest) = c.fire_dma() else { continue };
+        for c in &mut gpu.chunks {
+            let Some(dst) = c.fire_dma() else { continue };
             if let Some(ins) = reborrow(&mut ins) {
                 ins.record(
                     now,
@@ -487,14 +465,14 @@ fn step_device(
                 );
                 ins.add("dma.triggers_fired", 1);
             }
-            // An empty chunk (fewer WGs than devices) has nothing to
-            // read or send, as `DmaEngine::trigger` treats a zero-byte
-            // command.
-            if c.bytes == 0 {
-                gpu.dma_transfers += 1;
-            } else {
-                gpu.dma_queue.push_back((pos, dest));
-            }
+            // An empty chunk (fewer WGs than devices) completes at
+            // trigger, with nothing to read or send.
+            gpu.dma.trigger(DmaCommand {
+                id: c.global_chunk as u64,
+                dst,
+                bytes: c.bytes,
+                read_class: TrafficClass::RsRead,
+            });
         }
     }
 
@@ -514,7 +492,7 @@ fn step_device(
 /// the very next cycle: the controller services every cycle, and the
 /// engine polls the DMA every cycle.
 fn device_next_event(gpu: &Gpu, now: Cycle) -> Option<Cycle> {
-    if !gpu.mc.is_idle() || gpu.dma_reading.is_some() || !gpu.dma_queue.is_empty() {
+    if !gpu.mc.is_idle() || !gpu.dma.is_idle() {
         return Some(now + 1);
     }
     gpu.gemm.next_event(now, &gpu.mc)
@@ -527,9 +505,9 @@ fn device_next_event(gpu: &Gpu, now: Cycle) -> Option<Cycle> {
 /// window end, or earlier, the first cycle a watch is reached (the
 /// GEMM's read target, the DMA source read, the incoming feed's front
 /// region). Until then nothing but the controller can act, exactly as
-/// in the mirrored loops. A DMA pop due next cycle pins the device to
-/// one-cycle steps. Returns the cycle the controller stopped at, `None`
-/// for no leap.
+/// in the mirrored loop. A DMA read due to start next cycle pins the
+/// device to one-cycle steps. Returns the cycle the controller stopped
+/// at, `None` for no leap.
 fn leap_busy(
     gpu: &mut Gpu,
     now: Cycle,
@@ -537,18 +515,17 @@ fn leap_busy(
     arrival: Option<Cycle>,
     ins: Option<&mut Instruments>,
 ) -> Option<Cycle> {
-    let dma_pop_due = gpu.dma_reading.is_none() && !gpu.dma_queue.is_empty();
-    if gpu.mc.is_idle() || dma_pop_due {
+    if gpu.mc.is_idle() {
         return None;
     }
     let horizon = clock.busy_horizon(|| {
         let gemm = gpu.gemm.next_event(now, &gpu.mc);
-        gemm.into_iter().chain(arrival).min()
+        let dma = gpu.dma.next_event(now, &gpu.mc);
+        gemm.into_iter().chain(dma).chain(arrival).min()
     })?;
     let watches = [
         gpu.gemm.read_watch(),
-        gpu.dma_reading
-            .map(|(_, _, target)| Watch::Class(TrafficClass::RsRead, target)),
+        gpu.dma.read_watch(),
         gpu.feed.front_watch(TrafficClass::RsUpdate),
     ];
     let at = gpu.mc.advance_busy(now + 1, horizon, &watches, None, ins);
@@ -674,7 +651,7 @@ pub fn run_multi_gpu_fused_rs_on(
         cycles,
         skew: cycles - per_gpu_cycles.iter().copied().fold(cycles, Cycle::min),
         per_gpu_stats: gpus.iter().map(|g| g.mc.stats().clone()).collect(),
-        dma_transfers: gpus.iter().map(|g| g.dma_transfers).sum(),
+        dma_transfers: gpus.iter().map(|g| g.dma.sent_commands()).sum(),
         link_bytes: fabric.link_bytes(),
         per_gpu_cycles,
     };

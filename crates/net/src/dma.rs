@@ -3,27 +3,30 @@
 //! T3 pre-programs DMA commands at kernel launch (via the address-space
 //! configuration, Figure 12) and the Tracker marks them *ready* as the
 //! producer and incoming updates complete. The engine then reads the
-//! source region through the memory controller's communication stream
-//! and pushes it onto the link — no CUs involved.
+//! source region through the memory controller's communication stream,
+//! with no CUs involved, and hands the command back once its read is
+//! done; the caller puts the payload on its own wire (a
+//! [`crate::link::Link`] or a multi-hop fabric).
 //!
-//! The engine is cycle-stepped and pipelined: while one command's
-//! payload serialises on the link, the next command's source read can
-//! already be in flight at the memory controller.
+//! The engine is cycle-stepped and pipelined: one source read is in
+//! flight at a time, in trigger order, so while one command's payload
+//! serialises on the wire the next command's read is already at the
+//! memory controller.
 
 use std::collections::VecDeque;
 
-use crate::link::{Delivery, Link};
 use t3_mem::controller::{MemoryController, StreamId, Watch};
-use t3_sim::config::LinkConfig;
 use t3_sim::stats::TrafficClass;
 use t3_sim::{Bytes, Cycle};
-use t3_trace::{reborrow, Event, Instruments};
 
 /// A pre-programmed DMA command, marked ready by the Tracker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DmaCommand {
-    /// Caller-chosen identifier carried through to the delivery.
+    /// Caller-chosen identifier, handed back when the read completes.
     pub id: u64,
+    /// Destination device of the payload (the `dma_map` target); the
+    /// engine only carries it.
+    pub dst: usize,
     /// Payload size in bytes.
     pub bytes: Bytes,
     /// Traffic class of the source read at the local memory controller
@@ -39,29 +42,24 @@ struct Reading {
     target: Bytes,
 }
 
-/// The DMA engine: a command queue, an in-flight source read, and the
-/// outbound link.
-#[derive(Debug)]
+/// The DMA engine: a command queue and an in-flight source read.
+#[derive(Debug, Default)]
 pub struct DmaEngine {
     queue: VecDeque<DmaCommand>,
     reading: Option<Reading>,
-    link: Link,
     sent_commands: u64,
 }
 
+// The explicit multi-GPU engine calls the small methods below on every
+// device step, from another crate, hence the `#[inline]`s.
 impl DmaEngine {
-    /// Creates an engine sending over a link with configuration `cfg`.
-    pub fn new(cfg: &LinkConfig) -> Self {
-        DmaEngine {
-            queue: VecDeque::new(),
-            reading: None,
-            link: Link::new(cfg),
-            sent_commands: 0,
-        }
+    /// Creates an idle engine.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Queues a ready command (Tracker trigger). Zero-byte commands are
-    /// completed immediately and never touch memory or the link.
+    /// Queues a ready command (Tracker trigger). A zero-byte command
+    /// completes at once and never touches memory or a wire.
     pub fn trigger(&mut self, cmd: DmaCommand) {
         if cmd.bytes == 0 {
             self.sent_commands += 1;
@@ -70,114 +68,53 @@ impl DmaEngine {
         self.queue.push_back(cmd);
     }
 
-    /// Advances the engine one cycle: completes a finished source read
-    /// by starting its link transmission, and starts the next queued
-    /// command's source read. Returns messages fully delivered to the
-    /// neighbour by `now`.
-    pub fn step(&mut self, now: Cycle, mc: &mut MemoryController) -> Vec<Delivery> {
-        self.step_traced(now, mc, None)
-    }
-
-    /// [`DmaEngine::step`] that also records each payload handed to the
-    /// link as a [`Event::ChunkSend`] span (the serialiser's busy
-    /// interval) plus a [`Event::LinkBusy`] span, and bumps
-    /// `dma.chunks_sent` / `dma.bytes_sent`. Passing `None` is
-    /// identical to `step`.
-    pub fn step_traced(
-        &mut self,
-        now: Cycle,
-        mc: &mut MemoryController,
-        mut ins: Option<&mut Instruments>,
-    ) -> Vec<Delivery> {
-        if let Some(reading) = self.reading {
-            if mc.stats().bytes(reading.cmd.read_class) >= reading.target {
-                let start = self.link.busy_until().max(now);
-                self.link
-                    .send_traced(now, reading.cmd.id, reading.cmd.bytes, reborrow(&mut ins));
-                if let Some(ins) = reborrow(&mut ins) {
-                    let end = self.link.busy_until();
-                    ins.record(
-                        end,
-                        Event::ChunkSend {
-                            chunk: reading.cmd.id,
-                            bytes: reading.cmd.bytes,
-                            hops: 1,
-                            start,
-                            end,
-                        },
-                    );
-                    ins.add("dma.chunks_sent", 1);
-                    ins.add("dma.bytes_sent", reading.cmd.bytes);
-                }
-                self.sent_commands += 1;
-                self.reading = None;
-            }
+    /// Advances the engine one cycle, after the memory controller has
+    /// stepped it: returns the command whose source read has just
+    /// completed, for the caller to send, and starts the next queued
+    /// command's read.
+    #[inline]
+    pub fn step(&mut self, mc: &mut MemoryController) -> Option<DmaCommand> {
+        let done = self
+            .reading
+            .filter(|r| mc.stats().bytes(r.cmd.read_class) >= r.target)
+            .map(|r| r.cmd);
+        if done.is_some() {
+            self.sent_commands += 1;
+            self.reading = None;
         }
         if self.reading.is_none() {
             if let Some(cmd) = self.queue.pop_front() {
-                // The engine serialises its own reads (one in flight),
-                // so the completion target is simply "current serviced
-                // count + this command's bytes". The fused engine keeps
-                // the read class exclusive to DMA source reads.
+                // One read in flight, so the completion target is simply
+                // "current serviced count + this command's bytes". The
+                // fused engines keep the read class exclusive to DMA
+                // source reads.
                 let target = mc.stats().bytes(cmd.read_class) + cmd.bytes;
                 mc.enqueue(StreamId::Comm, cmd.read_class, cmd.bytes, 1.0);
                 self.reading = Some(Reading { cmd, target });
             }
         }
-        self.link.deliveries_until(now)
+        done
     }
 
-    /// Sends `bytes` directly onto the engine's outbound link without a
-    /// local memory read, tagged `tag`. Models the fine-grained
-    /// peer-to-peer remote stores of T3's warm-up step (Section 4.1):
-    /// the producer's stores leave for the neighbour as they are made
-    /// and never touch local DRAM. Shares (and serialises with) the
-    /// link used by DMA payloads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is zero.
-    pub fn send_direct(&mut self, now: Cycle, tag: u64, bytes: Bytes) {
-        self.link.send(now, tag, bytes);
-    }
-
-    /// [`DmaEngine::send_direct`] that also records the link busy span.
-    /// Passing `None` is identical to `send_direct`.
-    pub fn send_direct_traced(
-        &mut self,
-        now: Cycle,
-        tag: u64,
-        bytes: Bytes,
-        ins: Option<&mut Instruments>,
-    ) {
-        self.link.send_traced(now, tag, bytes, ins);
-    }
-
-    /// True when no command is queued, reading, or on the wire.
-    pub fn is_idle(&self, now: Cycle) -> bool {
-        self.queue.is_empty() && self.reading.is_none() && self.link.is_idle(now)
+    /// True when no command is queued or reading.
+    #[inline]
+    pub fn is_idle(&self) -> bool {
+        self.queue.is_empty() && self.reading.is_none()
     }
 
     /// The next cycle strictly after `now` at which stepping this
-    /// engine can change state: the head in-flight link arrival, a
-    /// completed source read starting its transmission (`now + 1`), or
-    /// a queued command starting its read (`now + 1`). `None` when
-    /// nothing is pending — an in-flight source read that the memory
-    /// controller has not finished servicing reports `None` here
-    /// because the controller itself is busy (it holds the un-serviced
-    /// transactions), and a busy leap stops where
-    /// [`DmaEngine::read_watch`] is reached.
+    /// engine can change state: `now + 1` for a completed source read
+    /// or a queued command waiting to start its read. `None` otherwise
+    /// — an in-flight source read that the memory controller has not
+    /// finished servicing reports `None` here because the controller
+    /// itself is busy (it holds the un-serviced transactions), and a
+    /// busy leap stops where [`DmaEngine::read_watch`] is reached.
+    #[inline]
     pub fn next_event(&self, now: Cycle, mc: &MemoryController) -> Option<Cycle> {
-        let read_event = match self.reading {
+        match self.reading {
             Some(r) if mc.stats().bytes(r.cmd.read_class) >= r.target => Some(now + 1),
             Some(_) => None,
-            None if !self.queue.is_empty() => Some(now + 1),
-            None => None,
-        };
-        match (self.link.next_event(now), read_event) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) => Some(a),
-            (None, b) => b,
+            None => (!self.queue.is_empty()).then_some(now + 1),
         }
     }
 
@@ -185,150 +122,91 @@ impl DmaEngine {
     /// read class's serviced bytes reaching the read's target. A busy
     /// leap must stop where it is reached, because
     /// [`DmaEngine::next_event`] cannot time it.
+    #[inline]
     pub fn read_watch(&self) -> Option<Watch> {
         self.reading
             .map(|r| Watch::Class(r.cmd.read_class, r.target))
     }
 
-    /// Commands whose payload has been handed to the link (plus
-    /// zero-byte commands completed eagerly).
+    /// Commands whose source read has completed, plus zero-byte
+    /// commands completed at trigger.
     pub fn sent_commands(&self) -> u64 {
         self.sent_commands
-    }
-
-    /// Total bytes accepted by the link so far.
-    pub fn bytes_sent(&self) -> Bytes {
-        self.link.total_sent()
-    }
-
-    /// The underlying link (for latency/rate queries).
-    pub fn link(&self) -> &Link {
-        &self.link
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::Link;
     use t3_mem::arbiter::ComputeFirstPolicy;
     use t3_sim::config::SystemConfig;
 
     fn setup() -> (DmaEngine, MemoryController) {
         let sys = SystemConfig::paper_default();
-        let engine = DmaEngine::new(&sys.link);
         let mc = MemoryController::new(&sys.mem, ComputeFirstPolicy::new());
-        (engine, mc)
+        (DmaEngine::new(), mc)
     }
 
-    fn run(engine: &mut DmaEngine, mc: &mut MemoryController, limit: Cycle) -> Vec<Delivery> {
+    fn cmd(id: u64, bytes: Bytes) -> DmaCommand {
+        DmaCommand {
+            id,
+            dst: 1,
+            bytes,
+            read_class: TrafficClass::RsRead,
+        }
+    }
+
+    /// Steps the controller and then the engine every cycle until both
+    /// drain; returns each completed command with its cycle.
+    fn drain(engine: &mut DmaEngine, mc: &mut MemoryController) -> Vec<(Cycle, DmaCommand)> {
         let mut out = Vec::new();
         let mut now = 0;
-        while now < limit && !(engine.is_idle(now) && mc.is_idle()) {
+        while !(engine.is_idle() && mc.is_idle()) {
             mc.step(now, None);
-            out.extend(engine.step(now, mc));
+            out.extend(engine.step(mc).map(|c| (now, c)));
             now += 1;
+            assert!(now < 100_000_000, "failed to drain");
         }
         out
     }
 
     #[test]
-    fn command_reads_then_sends_then_delivers() {
+    fn command_reads_its_source_once_then_completes() {
         let (mut engine, mut mc) = setup();
-        engine.trigger(DmaCommand {
-            id: 42,
-            bytes: 100_000,
-            read_class: TrafficClass::RsRead,
-        });
-        let deliveries = run(&mut engine, &mut mc, 1_000_000);
-        assert_eq!(deliveries.len(), 1);
-        assert_eq!(deliveries[0].tag, 42);
-        assert_eq!(deliveries[0].bytes, 100_000);
-        // The source read went through the memory controller.
+        engine.trigger(cmd(42, 100_000));
+        let done = drain(&mut engine, &mut mc);
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].1, cmd(42, 100_000));
+        // The source read went through the memory controller, and the
+        // command completes no earlier than its bytes' service time.
         assert_eq!(mc.stats().bytes(TrafficClass::RsRead), 100_000);
-        assert_eq!(engine.bytes_sent(), 100_000);
+        assert_eq!(engine.sent_commands(), 1);
+        let min_cycles = 100_000.0 / SystemConfig::paper_default().mem.bytes_per_cycle();
+        assert!(done[0].0 as f64 >= min_cycles, "read finished too early");
     }
 
     #[test]
-    fn delivery_not_before_read_plus_wire_time() {
-        let (mut engine, mut mc) = setup();
-        let bytes = 1_000_000;
-        engine.trigger(DmaCommand {
-            id: 1,
-            bytes,
-            read_class: TrafficClass::RsRead,
-        });
-        let mut now = 0;
-        let arrival = loop {
-            mc.step(now, None);
-            let d = engine.step(now, &mut mc);
-            if !d.is_empty() {
-                break now;
-            }
-            now += 1;
-            assert!(now < 100_000_000);
-        };
-        let wire = engine.link().serialization_cycles(bytes) + engine.link().latency();
-        assert!(
-            arrival >= wire,
-            "arrival {arrival} cannot beat wire time {wire}"
-        );
-    }
-
-    #[test]
-    fn commands_pipeline_in_order() {
+    fn commands_complete_in_order() {
         let (mut engine, mut mc) = setup();
         for id in 0..3 {
-            engine.trigger(DmaCommand {
-                id,
-                bytes: 50_000,
-                read_class: TrafficClass::RsRead,
-            });
+            engine.trigger(cmd(id, 50_000));
         }
-        let deliveries = run(&mut engine, &mut mc, 10_000_000);
-        let tags: Vec<u64> = deliveries.iter().map(|d| d.tag).collect();
-        assert_eq!(tags, vec![0, 1, 2]);
+        let done = drain(&mut engine, &mut mc);
+        let ids: Vec<u64> = done.iter().map(|(_, c)| c.id).collect();
+        assert_eq!(ids, vec![0, 1, 2]);
+        assert!(done.windows(2).all(|w| w[0].0 < w[1].0));
         assert_eq!(engine.sent_commands(), 3);
     }
 
     #[test]
-    fn step_traced_records_chunk_send_and_metrics() {
-        let (mut engine, mut mc) = setup();
-        engine.trigger(DmaCommand {
-            id: 3,
-            bytes: 100_000,
-            read_class: TrafficClass::RsRead,
-        });
-        let mut ins = Instruments::full();
-        let mut now = 0;
-        let mut seen = 0;
-        while seen == 0 {
-            mc.step(now, None);
-            seen += engine.step_traced(now, &mut mc, Some(&mut ins)).len();
-            now += 1;
-            assert!(now < 100_000_000);
-        }
-        let tracer = ins.tracer.as_ref().unwrap();
-        assert_eq!(
-            tracer.count(|e| matches!(e, Event::ChunkSend { bytes: 100_000, .. })),
-            1
-        );
-        assert_eq!(tracer.count(|e| matches!(e, Event::LinkBusy { .. })), 1);
-        let metrics = ins.metrics.as_ref().unwrap();
-        assert_eq!(metrics.counter("dma.bytes_sent"), 100_000);
-        assert_eq!(metrics.counter("link.bytes_sent"), 100_000);
-        assert_eq!(metrics.counter("dma.chunks_sent"), 1);
-    }
-
-    #[test]
     fn zero_byte_command_completes_eagerly() {
-        let (mut engine, _mc) = setup();
-        engine.trigger(DmaCommand {
-            id: 9,
-            bytes: 0,
-            read_class: TrafficClass::RsRead,
-        });
-        assert!(engine.is_idle(0));
+        let (mut engine, mut mc) = setup();
+        engine.trigger(cmd(9, 0));
+        assert!(engine.is_idle());
         assert_eq!(engine.sent_commands(), 1);
+        assert_eq!(engine.step(&mut mc), None, "nothing to send");
+        assert!(mc.is_idle(), "nothing read");
     }
 
     #[test]
@@ -336,11 +214,7 @@ mod tests {
         let (mut engine, mut mc) = setup();
         assert_eq!(engine.next_event(0, &mc), None, "idle engine has no events");
         for id in 0..2 {
-            engine.trigger(DmaCommand {
-                id,
-                bytes: 100_000,
-                read_class: TrafficClass::RsRead,
-            });
+            engine.trigger(cmd(id, 100_000));
         }
         // Queued command: starts its read on the very next step.
         assert_eq!(engine.next_event(0, &mc), Some(1));
@@ -351,18 +225,18 @@ mod tests {
         let mut changes = Vec::new();
         let mut predictions = Vec::new();
         let mut now = 0;
-        while !(engine.is_idle(now) && mc.is_idle()) {
+        while !(engine.is_idle() && mc.is_idle()) {
             mc.step(now, None);
             let before = snapshot(&engine);
-            let delivered = !engine.step(now, &mut mc).is_empty();
-            if snapshot(&engine) != before || delivered {
+            engine.step(&mut mc);
+            if snapshot(&engine) != before {
                 changes.push(now);
             }
             predictions.push((now, engine.next_event(now, &mc), mc.is_idle()));
             now += 1;
             assert!(now < 100_000_000);
         }
-        assert!(changes.len() >= 4, "reads, sends, and deliveries occurred");
+        assert!(changes.len() >= 3, "reads started and completed");
         // Whenever the memory controller was idle (the only situation
         // in which the fast-forward loop leaps), the prediction must be
         // EXACTLY the next cycle the stepped engine changed state.
@@ -383,62 +257,48 @@ mod tests {
     }
 
     #[test]
-    fn next_event_pinpoints_link_arrival() {
-        // After the payload is on the wire and the controller has
-        // drained, the only event left is the link arrival — the
-        // predicted cycle must be exactly the delivery cycle.
+    fn read_watch_is_reached_when_the_read_completes() {
         let (mut engine, mut mc) = setup();
-        engine.trigger(DmaCommand {
-            id: 7,
-            bytes: 50_000,
-            read_class: TrafficClass::RsRead,
-        });
-        let mut now = 0;
-        while !(engine.reading.is_none() && engine.queue.is_empty() && mc.is_idle()) {
+        engine.trigger(cmd(5, 20_000));
+        engine.step(&mut mc);
+        let Some(Watch::Class(class, target)) = engine.read_watch() else {
+            panic!("a read is in flight");
+        };
+        assert_eq!((class, target), (TrafficClass::RsRead, 20_000));
+        let mut now = 1;
+        while mc.stats().bytes(TrafficClass::RsRead) < target {
             mc.step(now, None);
-            engine.step(now, &mut mc);
-            now += 1;
-            assert!(now < 100_000_000);
-        }
-        // Payload handed to the link, nothing else pending.
-        let predicted = engine
-            .next_event(now, &mc)
-            .expect("payload still in flight");
-        let mut first = None;
-        while now <= predicted {
-            mc.step(now, None);
-            if !engine.step(now, &mut mc).is_empty() {
-                first = Some(now);
-                break;
-            }
             now += 1;
         }
-        assert_eq!(first, Some(predicted));
+        assert_eq!(engine.step(&mut mc), Some(cmd(5, 20_000)));
+        assert_eq!(engine.read_watch(), None);
     }
 
     #[test]
-    fn back_to_back_commands_saturate_link() {
-        // With large commands the link, not the read path, must be the
-        // bottleneck: total time ~ sum of serialisation times.
+    fn back_to_back_commands_saturate_a_link() {
+        // With large commands the wire, not the read path, must be the
+        // bottleneck: the next read overlaps the current payload's
+        // serialisation, so the total time is ~ the sum of
+        // serialisation times.
         let (mut engine, mut mc) = setup();
+        let mut link = Link::new(&SystemConfig::paper_default().link);
         let n = 4;
         let bytes = 2_000_000;
         for id in 0..n {
-            engine.trigger(DmaCommand {
-                id,
-                bytes,
-                read_class: TrafficClass::RsRead,
-            });
+            engine.trigger(cmd(id, bytes));
         }
         let mut now = 0;
         let mut seen = 0;
         while seen < n as usize {
             mc.step(now, None);
-            seen += engine.step(now, &mut mc).len();
+            if let Some(c) = engine.step(&mut mc) {
+                link.send(now, c.id, c.bytes);
+            }
+            seen += link.deliveries_until(now).len();
             now += 1;
             assert!(now < 100_000_000);
         }
-        let ideal = engine.link().serialization_cycles(bytes) * n + engine.link().latency();
+        let ideal = link.serialization_cycles(bytes) * n + link.latency();
         assert!(
             (now as f64) < ideal as f64 * 1.15,
             "link under-utilised: {now} vs ideal {ideal}"

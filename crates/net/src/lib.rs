@@ -9,9 +9,10 @@
 //! * [`ring`] — ring-topology helpers (neighbours, chunk ownership per
 //!   step) shared by the functional collectives and the timing engine.
 //! * [`dma`] — a DMA engine that, per command, reads its source data
-//!   through the memory controller's communication stream and then
-//!   occupies the link; commands are pre-programmed and marked ready by
-//!   the Tracker, matching Figure 9(c).
+//!   through the memory controller's communication stream and hands the
+//!   command back for the caller to put on its wire; commands are
+//!   pre-programmed and marked ready by the Tracker, matching
+//!   Figure 9(c).
 
 pub mod dma;
 pub mod link;

@@ -110,40 +110,85 @@ fn chunk_bounds_partition() {
     }
 }
 
-/// DMA pipelines deliver every command once, in order, reading exactly
-/// the command's bytes from memory.
+/// DMA pipelines complete every command once, in trigger order, reading
+/// exactly the command's bytes from memory; zero-byte commands complete
+/// at trigger without a read. Commands arrive while earlier reads are in
+/// flight, and whenever the controller is idle (where a fast-forward
+/// loop leaps) `next_event` names exactly the next cycle the engine
+/// changes state.
 #[test]
 fn dma_pipeline_conservation() {
     for seed in 0..24u64 {
         let mut rng = SplitMix64::new(seed);
-        let cmds: Vec<u64> = (0..rng.gen_range(1, 8))
-            .map(|_| rng.gen_range(1, 300_000))
+        let mut at = 0;
+        let cmds: Vec<(u64, DmaCommand)> = (0..rng.gen_range(1, 8))
+            .map(|id| {
+                at += rng.gen_range(0, 2_000);
+                let bytes = if rng.gen_range(0, 4) == 0 {
+                    0
+                } else {
+                    rng.gen_range(1, 300_000)
+                };
+                let read_class = TrafficClass::RsRead;
+                (
+                    at,
+                    DmaCommand {
+                        id,
+                        dst: 1,
+                        bytes,
+                        read_class,
+                    },
+                )
+            })
             .collect();
         let sys = SystemConfig::paper_default();
-        let mut engine = DmaEngine::new(&sys.link);
+        let mut engine = DmaEngine::new();
         let mut mc = MemoryController::new(&sys.mem, ComputeFirstPolicy::new());
-        for (i, bytes) in cmds.iter().enumerate() {
-            engine.trigger(DmaCommand {
-                id: i as u64,
-                bytes: *bytes,
-                read_class: TrafficClass::RsRead,
-            });
-        }
-        let mut tags = Vec::new();
+        let mut pending = cmds.iter().peekable();
+        let (mut done, mut changes, mut predictions) = (Vec::new(), Vec::new(), Vec::new());
         let mut now = 0u64;
-        while !(engine.is_idle(now) && mc.is_idle()) {
+        while pending.peek().is_some() || !(engine.is_idle() && mc.is_idle()) {
             mc.step(now, None);
-            tags.extend(engine.step(now, &mut mc).into_iter().map(|d| d.tag));
+            let before = (
+                engine.is_idle(),
+                engine.read_watch(),
+                engine.sent_commands(),
+            );
+            done.extend(engine.step(&mut mc).map(|c| c.id));
+            while let Some((_, cmd)) = pending.next_if(|(at, _)| *at == now) {
+                engine.trigger(*cmd);
+            }
+            if (
+                engine.is_idle(),
+                engine.read_watch(),
+                engine.sent_commands(),
+            ) != before
+            {
+                changes.push(now);
+            }
+            let next_trigger = pending.peek().map(|(at, _)| *at);
+            predictions.push((now, engine.next_event(now, &mc), next_trigger, mc.is_idle()));
             now += 1;
             assert!(now < 50_000_000, "seed {seed}: failed to drain");
         }
-        let expected: Vec<u64> = (0..cmds.len() as u64).collect();
-        assert_eq!(tags, expected, "seed {seed}");
+        let nonempty = cmds.iter().filter(|(_, c)| c.bytes > 0);
+        let expected: Vec<u64> = nonempty.map(|(_, c)| c.id).collect();
+        assert_eq!(done, expected, "seed {seed}: order, exactly once");
+        assert_eq!(engine.sent_commands(), cmds.len() as u64, "seed {seed}");
         assert_eq!(
             mc.stats().bytes(TrafficClass::RsRead),
-            cmds.iter().sum::<u64>(),
-            "seed {seed}"
+            cmds.iter().map(|(_, c)| c.bytes).sum::<u64>(),
+            "seed {seed}: bytes read"
         );
-        assert_eq!(engine.bytes_sent(), cmds.iter().sum::<u64>(), "seed {seed}");
+        for (asked, predicted, next_trigger, mc_idle) in predictions {
+            // Only an engine left alone is predictable: a trigger is
+            // an external input.
+            if !mc_idle || next_trigger.is_some_and(|t| t <= asked + 1) {
+                continue;
+            }
+            let actual = changes.iter().copied().find(|&c| c > asked);
+            let actual = actual.filter(|&c| next_trigger.is_none_or(|t| c < t));
+            assert_eq!(predicted, actual, "seed {seed}: after cycle {asked}");
+        }
     }
 }

@@ -7,7 +7,10 @@
 //! from the printed case alone.
 
 use t3::core::engine::PolicyChoice;
-use t3::core::engine::{run_fused_gemm_rs, run_fused_gemm_rs_instrumented, FusedOptions};
+use t3::core::engine::{
+    run_fused_gemm_all_to_all, run_fused_gemm_direct_rs, run_fused_gemm_rs,
+    run_fused_gemm_rs_instrumented, FusedOptions, FusedRunResult,
+};
 use t3::gpu::engine::{run_gemm_isolated_traced_in_mode, WritePolicy};
 use t3::gpu::gemm::{GemmGrid, GemmShape};
 use t3::mem::nmc::ReductionSubstrate;
@@ -27,6 +30,8 @@ fn seeded_shape(rng: &mut SplitMix64) -> GemmShape {
     GemmShape::new(m, n, rng.gen_range(64, 512))
 }
 
+/// Every mirrored schedule (the ring, direct-RS and all-to-all) on each
+/// seeded case.
 #[test]
 fn fused_ring_runs_are_identical_across_modes() {
     let mut rng = SplitMix64::new(0xB05E_1EA9);
@@ -51,13 +56,22 @@ fn fused_ring_runs_are_identical_across_modes() {
             timeseries_bucket: Some(rng.gen_range(64, 4096)),
             mode: SimMode::Stepped,
         };
-        let run = |mode| {
-            let opts = FusedOptions { mode, ..opts };
-            run_fused_gemm_rs(&sys, GemmGrid::new(&sys.gpu, shape), &opts)
-        };
-        let stepped = format!("{:?}", run(SimMode::Stepped));
-        let fast = format!("{:?}", run(SimMode::FastForward));
-        assert_eq!(stepped, fast, "{opts:?} {shape:?} on {} GPUs", sys.num_gpus);
+        type Run = fn(&SystemConfig, GemmGrid, &FusedOptions) -> FusedRunResult;
+        let schedules: [(&str, Run); 3] = [
+            ("ring", run_fused_gemm_rs),
+            ("direct-RS", run_fused_gemm_direct_rs),
+            ("all-to-all", run_fused_gemm_all_to_all),
+        ];
+        for (name, schedule) in schedules {
+            let run = |mode| {
+                let opts = FusedOptions { mode, ..opts };
+                schedule(&sys, GemmGrid::new(&sys.gpu, shape), &opts)
+            };
+            let stepped = format!("{:?}", run(SimMode::Stepped));
+            let fast = format!("{:?}", run(SimMode::FastForward));
+            let gpus = sys.num_gpus;
+            assert_eq!(stepped, fast, "{name}: {opts:?} {shape:?} on {gpus} GPUs");
+        }
     }
 }
 
