@@ -13,9 +13,9 @@
 //! * the first chunk's stores leave as fine-grained remote updates on
 //!   the link and never touch local DRAM;
 //! * steady-state chunks are written locally as uncached near-memory
-//!   updates; the [`Tracker`] counts the local stores (at
-//!   memory-controller enqueue, Section 4.2.1) and the incoming
-//!   mirrored updates (as DRAM services them), and fires the
+//!   updates; the [`Tracker`](crate::tracker::Tracker) counts the
+//!   local stores (at memory-controller enqueue, Section 4.2.1) and the
+//!   incoming mirrored updates (as DRAM services them), and fires the
 //!   pre-programmed DMA when every wavefront region of a chunk is
 //!   complete;
 //! * the DMA reads the partially-reduced chunk once and sends it; its
@@ -23,34 +23,34 @@
 //! * the last chunk is the one this GPU owns: local + incoming updates
 //!   complete it in memory, with no further transfer.
 //!
-//! All DRAM traffic flows through one [`MemoryController`] under the
+//! All DRAM traffic flows through one memory controller under the
 //! configured arbitration policy — this is where T3 and T3-MCA differ
 //! (Sections 4.5, 6.1.2, 6.1.3).
 //!
 //! The ring and the direct-link schedules of Section 7.1 (direct
-//! reduce-scatter, all-to-all) run through one loop. Each entry point
-//! hands it device 0's [`OutputConfig`], a mirror map (which position's
-//! copy a send from position `p` stands for: `p + 1` on the ring, the
-//! owned position 0 on the direct links) and an announce lag (the
-//! cycles between a copy's arrival and its entry into the comm stream:
-//! 1 on the ring, or the un-overlapped pipeline depth without stagger;
-//! 0 on the direct links, which ignore `stagger`).
+//! reduce-scatter, all-to-all) run through one loop, which steps one
+//! `kernel::Device` (the fused device the explicit engine,
+//! [`crate::multigpu`], steps once per GPU) and owns only the links,
+//! the mirror and the clock. Each entry point hands it device 0's
+//! [`OutputConfig`], a mirror map (which position's copy a send from
+//! position `p` stands for: `p + 1` on the ring, the owned position 0
+//! on the direct links) and an announce lag (the cycles between a
+//! copy's arrival and its entry into the comm stream: 1 on the ring, or
+//! the un-overlapped pipeline depth without stagger; 0 on the direct
+//! links, which always stagger).
 
 use crate::addrmap::{ChunkRoute, OutputConfig};
-use crate::kernel::{record_local_stores, split_at_chunks, ChunkState, Feed};
-use crate::tracker::{Tracker, TrackerConfig};
-use t3_gpu::engine::{GemmEngine, GemmEvent};
+use crate::kernel::{ChunkState, Device};
 use t3_gpu::gemm::GemmGrid;
 use t3_gpu::llc_plan::LlcPlan;
 use t3_mem::arbiter::{ArbitrationPolicy, ComputeFirstPolicy, McaPolicy, RoundRobinPolicy};
-use t3_mem::controller::{MemoryController, StreamId};
 use t3_mem::nmc::ReductionSubstrate;
-use t3_net::dma::{DmaCommand, DmaEngine};
+use t3_net::dma::DmaCommand;
 use t3_net::link::Link;
 use t3_net::ring::Ring;
 use t3_sim::clock::Clock;
 use t3_sim::config::SystemConfig;
-use t3_sim::stats::{TrafficClass, TrafficStats};
+use t3_sim::stats::TrafficStats;
 use t3_sim::timeseries::TimeSeries;
 use t3_sim::{Bytes, Cycle, SimMode};
 use t3_trace::{reborrow, Event, Instruments};
@@ -89,7 +89,10 @@ pub struct FusedOptions {
     pub substrate: ReductionSubstrate,
     /// Staggered WG scheduling across GPUs (Section 4.4). Disabling it
     /// delays each chunk's incoming copy by the un-overlapped ring
-    /// depth (ablation; see DESIGN.md).
+    /// depth (ablation; see DESIGN.md). Only the mirrored ring models
+    /// it: the direct-link schedules ([`run_fused_gemm_direct_rs`],
+    /// [`run_fused_gemm_all_to_all`]) and the explicit multi-GPU engine
+    /// always stagger and panic when it is off.
     pub stagger: bool,
     /// Record a DRAM-traffic time series with this bucket width.
     pub timeseries_bucket: Option<Cycle>,
@@ -147,6 +150,8 @@ struct PendingIncoming {
 struct Mirror {
     map: fn(usize) -> usize,
     lag: Cycle,
+    /// Each position's chunk bytes.
+    sizes: Vec<Bytes>,
     /// Bytes sent so far and copy bytes announced so far, per sending
     /// position (exact cursors, so the full copy is announced once the
     /// position has sent in full).
@@ -156,10 +161,12 @@ struct Mirror {
 }
 
 impl Mirror {
-    fn new(n: usize, map: fn(usize) -> usize, lag: Cycle) -> Self {
+    fn new(sizes: Vec<Bytes>, map: fn(usize) -> usize, lag: Cycle) -> Self {
+        let n = sizes.len();
         Mirror {
             map,
             lag,
+            sizes,
             sent: vec![0; n],
             announced: vec![0; n],
             pending: Vec::new(),
@@ -168,9 +175,9 @@ impl Mirror {
 
     /// Records `bytes` sent from position `p` that arrive at `arrival`,
     /// and schedules the matching part of the copy of `map(p)`.
-    fn send(&mut self, chunks: &[ChunkState], p: usize, bytes: Bytes, arrival: Cycle) {
+    fn send(&mut self, p: usize, bytes: Bytes, arrival: Cycle) {
         let m = (self.map)(p);
-        let (src, dst) = (chunks[p].bytes, chunks[m].bytes);
+        let (src, dst) = (self.sizes[p], self.sizes[m]);
         self.sent[p] += bytes;
         let target = if self.sent[p] >= src {
             dst
@@ -317,12 +324,14 @@ pub fn run_fused_gemm_rs_instrumented(
 ///
 /// # Panics
 ///
-/// Panics if the simulation fails to converge.
+/// Panics if `opts.stagger` is off (the direct-link model always
+/// staggers), or if the simulation fails to converge.
 pub fn run_fused_gemm_direct_rs(
     sys: &SystemConfig,
     grid: GemmGrid,
     opts: &FusedOptions,
 ) -> FusedRunResult {
+    assert!(opts.stagger, "the direct-link model always staggers");
     let config = OutputConfig::direct_reduce_scatter(sys.num_gpus, 0);
     run_mirrored(sys, grid, opts, &config, |_| 0, 0, None)
 }
@@ -336,30 +345,23 @@ pub fn run_fused_gemm_direct_rs(
 ///
 /// # Panics
 ///
-/// Panics if the simulation fails to converge.
+/// As [`run_fused_gemm_direct_rs`].
 pub fn run_fused_gemm_all_to_all(
     sys: &SystemConfig,
     grid: GemmGrid,
     opts: &FusedOptions,
 ) -> FusedRunResult {
+    assert!(opts.stagger, "the direct-link model always staggers");
     let config = OutputConfig::all_to_all(sys.num_gpus, 0);
     run_mirrored(sys, grid, opts, &config, |_| 0, 0, None)
 }
 
-/// The one mirrored loop, for simulated device 0 under `config`.
-///
-/// Position `p` holds chunk `p` of the GEMM's output, and its route
-/// decides what the GEMM's stores to it do:
-///
-/// * a remote route sends them on the link to its destination as they
-///   are made;
-/// * a local route writes them as uncached stores, counted in the
-///   [`Tracker`] at memory-controller enqueue; a DMA route then fires
-///   the pre-programmed DMA once every wavefront region of the chunk is
-///   complete, and the [`DmaEngine`] reads the chunk once and sends it.
+/// The one mirrored loop: steps one [`Device`], simulated device 0
+/// under `config`, through the device phases.
 ///
 /// There is one link per destination the configuration routes to. Every
-/// send from `p` schedules the proportional copy of position
+/// send from position `p` (a remote store, or a DMA'd chunk once its
+/// source read completes) schedules the proportional copy of position
 /// `mirror(p)` to enter the comm stream at its arrival plus `lag`; those
 /// copies are what complete the tracked chunks. A sending position with
 /// no workgroups (a grid with fewer workgroups than devices) sends
@@ -367,10 +369,10 @@ pub fn run_fused_gemm_all_to_all(
 /// pass it, arriving one link latency plus the copy's serialisation
 /// later.
 ///
-/// A `RemoteStore` route (all-to-all) moves data only: local stores and
-/// incoming copies are plain writes (the copies as
-/// [`TrafficClass::AgWrite`]) and nothing is tracked. Otherwise local
-/// stores are NMC updates and the copies [`TrafficClass::RsUpdate`]s.
+/// Within a cycle the loop steps memory, releases due copies, steps the
+/// GEMM, puts a completed DMA read on its link, drains the links and
+/// fires triggers. Releasing after the controller step is what makes
+/// the ring's lag-1 announce.
 fn run_mirrored(
     sys: &SystemConfig,
     grid: GemmGrid,
@@ -382,15 +384,6 @@ fn run_mirrored(
 ) -> FusedRunResult {
     let n = config.num_chunks();
     let routes: Vec<ChunkRoute> = (0..n).map(|p| config.route(p)).collect();
-    let reduce = !routes
-        .iter()
-        .any(|r| matches!(r, ChunkRoute::RemoteStore { .. }));
-    let (incoming_class, update_cost) = if reduce {
-        let cost = opts.substrate.update_cost_multiplier(&sys.mem);
-        (TrafficClass::RsUpdate, cost)
-    } else {
-        (TrafficClass::AgWrite, 1.0)
-    };
     let bounds: Vec<(u64, u64)> = (0..n)
         .map(|p| grid.chunk_wg_bounds(n as u64, p as u64))
         .collect();
@@ -409,9 +402,10 @@ fn run_mirrored(
         }
         passes[mirror(p)] += 1;
     }
-    let mut chunks: Vec<ChunkState> = (0..n)
+    let chunks: Vec<ChunkState> = (0..n)
         .map(|p| ChunkState::new(&grid, p, bounds[p], routes[p], passes[p]))
         .collect();
+    let mut mirrored = Mirror::new(chunks.iter().map(|c| c.bytes).collect(), mirror, lag);
     // Sending positions with no workgroups and their destinations, in
     // WG order.
     let empty: Vec<(usize, usize)> = (0..n)
@@ -420,143 +414,39 @@ fn run_mirrored(
         .collect();
     let mut empty = empty.into_iter().peekable();
 
-    let mut mc = MemoryController::new(&sys.mem, opts.policy.build(sys));
     // Every fused store bypasses the LLC (uncached NMC updates or
     // remote stores).
-    let mut gemm = GemmEngine::new(&sys.gpu, LlcPlan::shared(&sys.mem, &grid, false));
-    let mut dma = DmaEngine::new();
-    let mut tracker = Tracker::new(TrackerConfig::paper(grid.wf_tile_elems()));
+    let plan = LlcPlan::shared(&sys.mem, &grid, false);
+    let mut dev = Device::new(sys, opts, plan, chunks);
     let mut ts = opts.timeseries_bucket.map(TimeSeries::new);
-    let mut mirrored = Mirror::new(n, mirror, lag);
-    let mut feed = Feed::new(&grid);
-
-    let mut first_stage_done = false;
-    let mut gemm_done = false;
-    // Set whenever a chunk counts a wavefront: only then can a DMA
-    // trigger become due. Starts set, so a chunk with no wavefronts
-    // fires on the first scan.
-    let mut scan_triggers = true;
     let mut clock = Clock::new(opts.mode);
-    // Set when a busy leap already stepped the controller at `now`.
-    let mut mc_stepped = false;
-    let (mut loop_steps, mut busy_leap_cycles) = (0u64, 0u64);
-
-    mc.reset_occupancy_window();
 
     loop {
         let now = clock.now();
-        loop_steps += 1;
-        if !std::mem::take(&mut mc_stepped) {
-            mc.step_traced(now, ts.as_mut(), reborrow(&mut ins));
-        }
-
-        // 1. Attribute newly serviced incoming updates to the tracker.
-        feed.attribute(
-            mc.stats().bytes(TrafficClass::RsUpdate),
-            &mut tracker,
-            |e| {
-                chunks[e.position].triggered_wfs += 1;
-                scan_triggers = true;
-                if let Some(ins) = reborrow(&mut ins) {
-                    if ins.tracer.as_ref().is_some_and(|t| t.fine()) {
-                        ins.record(
-                            now,
-                            Event::TrackerUpdate {
-                                wg: e.wf.wg,
-                                wf: e.wf.wf as u64,
-                                addr: e.addr,
-                            },
-                        );
-                    }
-                    ins.add("tracker.wf_completions", 1);
-                }
+        dev.step_memory(now, ts.as_mut(), reborrow(&mut ins));
+        mirrored.release_due(now, |p| dev.receive(p.position, p.bytes));
+        let stored = dev.step_gemm(
+            now,
+            |pos, dst, bytes, ins| {
+                let link = &mut links[wire[dst]];
+                let arrival = link.send_traced(now, TAG_REMOTE + pos as u64, bytes, ins);
+                mirrored.send(pos, bytes, arrival);
             },
+            reborrow(&mut ins),
         );
-
-        // 2. Release due incoming copies into the comm stream.
-        mirrored.release_due(now, |p| {
-            if reduce {
-                feed.announce(&grid, &mut chunks, p.position);
-            }
-            mc.enqueue(StreamId::Comm, incoming_class, p.bytes, update_cost);
-        });
-
-        // 3. Advance the producer GEMM.
-        match gemm.step(now, &mut mc) {
-            GemmEvent::Idle => {}
-            GemmEvent::Finished => gemm_done = true,
-            GemmEvent::StageStoresIssued {
-                stage,
-                wg_start,
-                wg_end,
-                bytes,
-                started,
-                compute_cycles,
-            } => {
-                if let Some(ins) = reborrow(&mut ins) {
-                    ins.record(
-                        now,
-                        Event::GemmStage {
-                            stage,
-                            wg_start,
-                            wg_end,
-                            start: started,
-                            end: now,
-                            bytes,
-                            compute_cycles,
-                        },
-                    );
-                    ins.add("gemm.stages", 1);
-                    ins.observe("gemm.stage_cycles", now - started);
-                }
-                if !first_stage_done {
-                    // T3-MCA's first-stage memory-intensity probe
-                    // (Section 4.5): the first stage ran before any
-                    // communication traffic existed.
-                    mc.observe_compute_intensity(mc.avg_occupancy_fraction());
-                    first_stage_done = true;
-                }
-                for (pos, w0, w1) in split_at_chunks(&bounds, wg_start, wg_end) {
-                    let bytes = grid.wg_range_output_bytes(w0, w1);
-                    match routes[pos] {
-                        ChunkRoute::RemoteUpdate { device }
-                        | ChunkRoute::RemoteStore { device } => {
-                            let link = &mut links[wire[device]];
-                            let tag = TAG_REMOTE + pos as u64;
-                            let arrival = link.send_traced(now, tag, bytes, reborrow(&mut ins));
-                            mirrored.send(&chunks, pos, bytes, arrival);
-                        }
-                        route => {
-                            mc.enqueue(
-                                StreamId::Compute,
-                                TrafficClass::GemmWrite,
-                                bytes,
-                                update_cost,
-                            );
-                            if reduce {
-                                let updates = route.updates_per_element();
-                                chunks[pos].triggered_wfs +=
-                                    record_local_stores(&mut tracker, &grid, (w0, w1), updates);
-                                scan_triggers = true;
-                            }
-                        }
-                    }
-                }
-                // An empty sending position sends nothing; its peers'
-                // copy still comes, in full, once the stores pass it.
-                while let Some((p, dst)) = empty.next_if(|&(p, _)| bounds[p].0 <= wg_end) {
-                    let link = &links[wire[dst]];
-                    let copy = chunks[mirror(p)].bytes;
-                    let arrival = now + link.serialization_cycles(copy) + link.latency();
-                    mirrored.send(&chunks, p, 0, arrival);
-                }
+        if let Some(wg_end) = stored {
+            // An empty sending position sends nothing; its peers' copy
+            // still comes, in full, once the stores pass it.
+            while let Some((p, dst)) = empty.next_if(|&(p, _)| bounds[p].0 <= wg_end) {
+                let link = &links[wire[dst]];
+                let copy = mirrored.sizes[mirror(p)];
+                let arrival = now + link.serialization_cycles(copy) + link.latency();
+                mirrored.send(p, 0, arrival);
             }
         }
-
-        // 4. DMA engine: a completed source read goes on its wire.
-        if let Some(cmd) = dma.step(&mut mc) {
+        if let Some(cmd) = dev.dma.step(&mut dev.mc) {
             let arrival = send_dma(&mut links[wire[cmd.dst]], now, cmd, reborrow(&mut ins));
-            mirrored.send(&chunks, cmd.id as usize, cmd.bytes, arrival);
+            mirrored.send(cmd.id as usize, cmd.bytes, arrival);
         }
         for link in &mut links {
             for delivery in link.deliveries_until(now) {
@@ -573,105 +463,36 @@ fn run_mirrored(
                 }
             }
         }
+        dev.fire_triggers(now, reborrow(&mut ins));
 
-        // 5. Fire DMAs for completed steady-state chunks, in position
-        // order, on a step that counted a wavefront.
-        if std::mem::take(&mut scan_triggers) {
-            for (pos, chunk) in chunks.iter_mut().enumerate() {
-                let Some(dst) = chunk.fire_dma() else {
-                    continue;
-                };
-                if let Some(ins) = reborrow(&mut ins) {
-                    ins.record(
-                        now,
-                        Event::DmaTriggerFire {
-                            chunk: pos as u64,
-                            bytes: chunk.bytes,
-                        },
-                    );
-                    ins.add("dma.triggers_fired", 1);
-                }
-                dma.trigger(DmaCommand {
-                    id: pos as u64,
-                    dst,
-                    bytes: chunk.bytes,
-                    read_class: TrafficClass::RsRead,
-                });
-            }
-        }
-
-        // Completion: producer done, every tracked chunk complete, all
-        // queues and wires drained.
-        if gemm_done
-            && (!reduce || chunks.iter().all(ChunkState::complete))
-            && mirrored.pending.is_empty()
-            && feed.is_empty()
-            && dma.is_idle()
-            && links.iter().all(|l| l.is_idle(now))
-            && mc.is_idle()
-        {
+        if dev.finished() && mirrored.pending.is_empty() && links.iter().all(|l| l.is_idle(now)) {
             break;
         }
-
         // Nothing but the controller can act before the earliest
         // component event or the first watched service: with the
         // controller quiescent the clock leaps there, with it busy the
-        // controller steps itself there. A tracker fire can only follow
-        // a watched service or a GEMM store, so a leap skips no fire.
-        let watches = [
-            gemm.read_watch(),
-            dma.read_watch(),
-            feed.front_watch(TrafficClass::RsUpdate),
-        ];
-        let leaped = mc.advance_clock(
+        // controller steps itself there.
+        dev.advance_clock(
             &mut clock,
-            |mc| {
+            || {
                 let link_at = links.iter().filter_map(|l| l.next_event(now)).min();
-                let events = [
-                    gemm.next_event(now, mc),
-                    dma.next_event(now, mc),
-                    link_at,
-                    mirrored.next_release(now),
-                ];
-                events.into_iter().flatten().min()
+                link_at.into_iter().chain(mirrored.next_release(now)).min()
             },
-            &watches,
             ts.as_mut(),
             reborrow(&mut ins),
         );
-        busy_leap_cycles += leaped;
-        mc_stepped = leaped > 0;
     }
 
     let now = clock.now();
-    let dma_transfers = dma.sent_commands();
-    if let Some(ins) = reborrow(&mut ins) {
-        ins.set_work("run.loop_steps", loop_steps);
-        ins.set_work("run.busy_leap_cycles", busy_leap_cycles);
-        ins.record(
-            now,
-            Event::LlcSample {
-                hits: gemm.plan().hits(),
-                misses: gemm.plan().misses(),
-            },
-        );
-        if let Some(m) = ins.metrics.as_mut() {
-            m.set("run.cycles", now);
-            m.set("dma.transfers", dma_transfers);
-            m.set("tracker.peak_entries", tracker.peak_entries() as u64);
-            m.set("mc.stream_switches", mc.stream_switches());
-            m.set("llc.hits", gemm.plan().hits());
-            m.set("llc.misses", gemm.plan().misses());
-            m.record_traffic(mc.stats());
-        }
+    if let Some(ins) = ins {
+        dev.record_end(now, ins);
     }
-
     FusedRunResult {
         cycles: now,
-        stats: mc.stats().clone(),
+        stats: dev.mc.stats().clone(),
         timeseries: ts,
-        dma_transfers,
-        peak_tracker_entries: tracker.peak_entries(),
+        dma_transfers: dev.dma.sent_commands(),
+        peak_tracker_entries: dev.peak_tracker_entries(),
         link_bytes_sent: links.iter().map(Link::total_sent).sum(),
     }
 }
@@ -682,6 +503,7 @@ mod tests {
     use t3_gpu::collective::{CollectiveKind, RingCollective};
     use t3_gpu::engine::{run_gemm_isolated, WritePolicy};
     use t3_gpu::gemm::GemmShape;
+    use t3_sim::stats::TrafficClass;
 
     fn sys() -> SystemConfig {
         SystemConfig::paper_default()
@@ -1026,6 +848,28 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "the direct-link model always staggers")]
+    fn direct_rs_rejects_no_stagger() {
+        let s = sys();
+        let opts = FusedOptions {
+            stagger: false,
+            ..FusedOptions::default()
+        };
+        run_fused_gemm_direct_rs(&s, test_grid(&s), &opts);
+    }
+
+    #[test]
+    #[should_panic(expected = "the direct-link model always staggers")]
+    fn all_to_all_rejects_no_stagger() {
+        let s = sys();
+        let opts = FusedOptions {
+            stagger: false,
+            ..FusedOptions::default()
+        };
+        run_fused_gemm_all_to_all(&s, test_grid(&s), &opts);
     }
 
     #[test]

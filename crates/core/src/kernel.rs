@@ -1,24 +1,48 @@
-//! The fused device kernel's Tracker plumbing, shared by the mirrored
-//! ([`crate::engine`]) and explicit ([`crate::multigpu`]) timing
-//! engines.
+//! The fused device: one simulated GPU's GEMM, memory controller,
+//! Tracker and DMA engine, stepped by both fused timing engines.
 //!
-//! Every fused engine splits the GEMM's output into chunks of
-//! workgroups, counts local stores into the [`Tracker`] when they enter
-//! the memory-controller queue, and attributes incoming updates to
-//! wavefront regions as DRAM services them (Section 4.2.1). This
-//! module holds those pieces once: the wavefront-region walk, the
-//! per-chunk trigger state, the attribution FIFO and the WG→chunk
-//! split of a GEMM stage.
+//! The mirrored engine ([`crate::engine`]) steps one [`Device`] and
+//! stands its outgoing traffic in for the incoming (Section 5.1.1); the
+//! explicit engine ([`crate::multigpu`]) steps one per GPU over a
+//! fabric. The engines own only what differs between them: the wires,
+//! the inbox and the clock. Everything a device does in a cycle lives
+//! here once, as phases the engines call in order:
+//!
+//! 1. [`Device::step_memory`] steps the controller and attributes the
+//!    incoming updates it serviced to wavefront regions (Section 4.2.1);
+//! 2. [`Device::receive`] enqueues an incoming copy on the comm stream;
+//! 3. [`Device::step_gemm`] advances the producer GEMM and routes each
+//!    stage's stores into its chunks: remote stores leave through the
+//!    engine's wire, local ones are written as uncached NMC updates and
+//!    counted in the [`Tracker`] at memory-controller enqueue;
+//! 4. the [`DmaEngine`] hands a completed source read to the engine's
+//!    wire;
+//! 5. [`Device::fire_triggers`] fires the pre-programmed DMA of every
+//!    chunk whose wavefront regions have all completed (Section 4.2.2).
+//!
+//! [`Device::finished`], [`Device::next_event`] and [`Device::watches`]
+//! tell the engines when the device is done, when it next acts and
+//! where a busy leap must stop, and [`Device::record_end`] books the
+//! device's end-of-run metrics the same way for both engines.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use crate::addrmap::ChunkRoute;
+use crate::engine::FusedOptions;
 use crate::fused::wf_rows;
-use crate::tracker::{Tracker, WfId};
+use crate::tracker::{Tracker, TrackerConfig, WfId};
+use t3_gpu::engine::{GemmEngine, GemmEvent};
 use t3_gpu::gemm::GemmGrid;
-use t3_mem::controller::Watch;
+use t3_gpu::llc_plan::LlcPlan;
+use t3_mem::controller::{MemoryController, StreamId, Watch};
+use t3_net::dma::{DmaCommand, DmaEngine};
+use t3_sim::clock::Clock;
+use t3_sim::config::SystemConfig;
 use t3_sim::stats::TrafficClass;
-use t3_sim::Bytes;
+use t3_sim::timeseries::TimeSeries;
+use t3_sim::{Bytes, Cycle};
+use t3_trace::{reborrow, Event, Instruments};
 
 /// The non-empty wavefront output regions of WGs `[w0, w1)` in WG/WF
 /// order, as `(wavefront, address, elements)`.
@@ -49,15 +73,10 @@ fn wf_regions(
     })
 }
 
-/// Counts the wavefronts with non-empty output regions in WGs `bounds`.
-pub(crate) fn count_nonempty_wfs(grid: &GemmGrid, bounds: (u64, u64)) -> usize {
-    wf_regions(grid, bounds).count()
-}
-
 /// Counts the local NMC-update stores of WGs `bounds` in `tracker`, one
 /// full region per wavefront, at memory-controller enqueue. Returns how
 /// many wavefronts the stores completed.
-pub(crate) fn record_local_stores(
+fn record_local_stores(
     tracker: &mut Tracker,
     grid: &GemmGrid,
     bounds: (u64, u64),
@@ -75,7 +94,7 @@ pub(crate) fn record_local_stores(
 /// Splits a GEMM stage's WGs `[wg_start, wg_end)` at the chunk
 /// boundaries in `bounds` (ascending WG ranges that tile the grid),
 /// yielding `(position, w0, w1)` per chunk the stage touches.
-pub(crate) fn split_at_chunks(
+fn split_at_chunks(
     bounds: &[(u64, u64)],
     wg_start: u64,
     wg_end: u64,
@@ -95,12 +114,12 @@ pub(crate) struct ChunkState {
     /// Collective chunk id.
     pub global_chunk: usize,
     /// The chunk's WG range in the GEMM grid (its memory regions).
-    pub wg_bounds: (u64, u64),
+    wg_bounds: (u64, u64),
     pub bytes: Bytes,
     pub route: ChunkRoute,
     /// Full passes of incoming updates the chunk expects.
-    pub incoming_passes: usize,
-    pub triggered_wfs: usize,
+    incoming_passes: usize,
+    triggered_wfs: usize,
     expected_wfs: usize,
     dma_fired: bool,
     feed_built: bool,
@@ -122,7 +141,7 @@ impl ChunkState {
             incoming_passes,
             triggered_wfs: 0,
             expected_wfs: if route.tracked() {
-                count_nonempty_wfs(grid, wg_bounds)
+                wf_regions(grid, wg_bounds).count()
             } else {
                 0
             },
@@ -132,14 +151,14 @@ impl ChunkState {
     }
 
     /// Every tracked wavefront region of the chunk has triggered.
-    pub(crate) fn complete(&self) -> bool {
+    fn complete(&self) -> bool {
         !self.route.tracked() || self.triggered_wfs == self.expected_wfs
     }
 
     /// The DMA's destination device, exactly once for a DMA-routed
     /// chunk: when its last wavefront triggers and the pre-programmed
     /// DMA fires.
-    pub(crate) fn fire_dma(&mut self) -> Option<usize> {
+    fn fire_dma(&mut self) -> Option<usize> {
         let device = match self.route {
             ChunkRoute::LocalThenDmaUpdate { device, .. }
             | ChunkRoute::LocalThenDmaStore { device } => device,
@@ -153,11 +172,11 @@ impl ChunkState {
 
 /// A wavefront region in the incoming-update attribution FIFO.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct FeedEntry {
+struct FeedEntry {
     /// Local position of the region's chunk.
-    pub position: usize,
-    pub wf: WfId,
-    pub addr: u64,
+    position: usize,
+    wf: WfId,
+    addr: u64,
     elems: u64,
     updates: u32,
 }
@@ -168,7 +187,7 @@ pub(crate) struct FeedEntry {
 /// controller actually services announced bytes, so a chunk's full
 /// feed can be queued on its first announcement.
 #[derive(Debug)]
-pub(crate) struct Feed {
+struct Feed {
     entries: VecDeque<FeedEntry>,
     elem_bytes: Bytes,
     attributed: Bytes,
@@ -178,7 +197,7 @@ pub(crate) struct Feed {
 
 impl Feed {
     /// An empty feed for regions of `grid`'s output.
-    pub(crate) fn new(grid: &GemmGrid) -> Self {
+    fn new(grid: &GemmGrid) -> Self {
         Feed {
             entries: VecDeque::new(),
             elem_bytes: grid.shape().elem_bytes,
@@ -187,13 +206,13 @@ impl Feed {
         }
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
     /// Queues `passes` passes over the WF regions of WGs `bounds`,
     /// belonging to the chunk at `position` (threshold `updates`).
-    pub(crate) fn push(
+    fn push(
         &mut self,
         grid: &GemmGrid,
         bounds: (u64, u64),
@@ -215,7 +234,7 @@ impl Feed {
 
     /// Queues the chunk at `position`'s incoming passes on its first
     /// announcement; later announcements are already covered.
-    pub(crate) fn announce(&mut self, grid: &GemmGrid, chunks: &mut [ChunkState], position: usize) {
+    fn announce(&mut self, grid: &GemmGrid, chunks: &mut [ChunkState], position: usize) {
         let c = &mut chunks[position];
         if !c.feed_built {
             c.feed_built = true;
@@ -229,7 +248,7 @@ impl Feed {
     /// the bytes attributed so far plus what the front region still
     /// lacks. A busy leap stops there, so each region is attributed,
     /// counted in the Tracker and fired at exactly its stepped cycle.
-    pub(crate) fn front_watch(&self, class: TrafficClass) -> Option<Watch> {
+    fn front_watch(&self, class: TrafficClass) -> Option<Watch> {
         self.entries.front().map(|e| {
             let left = e.elems * self.elem_bytes - self.front_consumed;
             Watch::Class(class, self.attributed + left)
@@ -240,7 +259,7 @@ impl Feed {
     /// (`serviced` is the cumulative count) to the FIFO in order. Each
     /// fully serviced region is counted in `tracker`; `fired` sees
     /// every region whose wavefront that count completes.
-    pub(crate) fn attribute(
+    fn attribute(
         &mut self,
         serviced: Bytes,
         tracker: &mut Tracker,
@@ -269,6 +288,355 @@ impl Feed {
     }
 }
 
+/// One simulated GPU running the fused kernel (see the module docs).
+///
+/// Position `p` holds the device's `p`-th chunk in execution order; its
+/// route decides what the GEMM's stores to it do. A device whose routes
+/// include a [`ChunkRoute::RemoteStore`] (all-to-all) moves data only:
+/// its local stores and incoming copies are plain writes (the copies as
+/// [`TrafficClass::AgWrite`]) and nothing is tracked. Otherwise it
+/// *reduces*: local stores are NMC updates and the incoming copies
+/// [`TrafficClass::RsUpdate`]s.
+pub(crate) struct Device {
+    grid: GemmGrid,
+    pub(crate) mc: MemoryController,
+    gemm: GemmEngine,
+    tracker: Tracker,
+    /// Per-position chunk state; each chunk's `wg_bounds` are its
+    /// *global* WG range (its memory regions).
+    pub(crate) chunks: Vec<ChunkState>,
+    /// Per-position WG bounds in the device's execution order.
+    local_bounds: Vec<(u64, u64)>,
+    feed: Feed,
+    /// Fired DMAs: their source reads, one in flight, in fire order.
+    pub(crate) dma: DmaEngine,
+    /// Cost multiplier of local stores and incoming copies.
+    update_cost: f64,
+    reduce: bool,
+    first_stage_done: bool,
+    gemm_done: bool,
+    /// Set whenever a chunk counts a wavefront: only then can a DMA
+    /// trigger become due. Starts set, so a chunk with no wavefronts
+    /// fires on the first scan.
+    scan_triggers: bool,
+    /// Set by a busy leap: the controller has already stepped the cycle
+    /// where the device's other components step next.
+    pub(crate) mc_ahead: bool,
+    /// Work counters: device steps, and controller cycles busy leaps
+    /// stepped.
+    loop_steps: u64,
+    busy_leap_cycles: u64,
+}
+
+impl Device {
+    /// A device running `plan`'s GEMM with `chunks` in execution order.
+    pub(crate) fn new(
+        sys: &SystemConfig,
+        opts: &FusedOptions,
+        plan: Arc<LlcPlan>,
+        chunks: Vec<ChunkState>,
+    ) -> Self {
+        let grid = plan.grid().clone();
+        let reduce = !chunks
+            .iter()
+            .any(|c| matches!(c.route, ChunkRoute::RemoteStore { .. }));
+        let mut cursor = 0;
+        let local_bounds = chunks
+            .iter()
+            .map(|c| {
+                let start = cursor;
+                cursor += c.wg_bounds.1 - c.wg_bounds.0;
+                (start, cursor)
+            })
+            .collect();
+        Device {
+            mc: MemoryController::new(&sys.mem, opts.policy.build(sys)),
+            gemm: GemmEngine::new(&sys.gpu, plan),
+            tracker: Tracker::new(TrackerConfig::paper(grid.wf_tile_elems())),
+            feed: Feed::new(&grid),
+            grid,
+            chunks,
+            local_bounds,
+            dma: DmaEngine::new(),
+            update_cost: if reduce {
+                opts.substrate.update_cost_multiplier(&sys.mem)
+            } else {
+                1.0
+            },
+            reduce,
+            first_stage_done: false,
+            gemm_done: false,
+            scan_triggers: true,
+            mc_ahead: false,
+            loop_steps: 0,
+            busy_leap_cycles: 0,
+        }
+    }
+
+    /// Steps the memory controller at `now` (unless a busy leap already
+    /// did), then attributes the incoming updates it serviced.
+    pub(crate) fn step_memory(
+        &mut self,
+        now: Cycle,
+        ts: Option<&mut TimeSeries>,
+        mut ins: Option<&mut Instruments>,
+    ) {
+        self.loop_steps += 1;
+        if !std::mem::take(&mut self.mc_ahead) {
+            self.mc.step_traced(now, ts, reborrow(&mut ins));
+        }
+        let (chunks, scan) = (&mut self.chunks, &mut self.scan_triggers);
+        self.feed.attribute(
+            self.mc.stats().bytes(TrafficClass::RsUpdate),
+            &mut self.tracker,
+            |e| {
+                chunks[e.position].triggered_wfs += 1;
+                *scan = true;
+                if let Some(ins) = reborrow(&mut ins) {
+                    if ins.tracer.as_ref().is_some_and(|t| t.fine()) {
+                        ins.record(
+                            now,
+                            Event::TrackerUpdate {
+                                wg: e.wf.wg,
+                                wf: e.wf.wf as u64,
+                                addr: e.addr,
+                            },
+                        );
+                    }
+                    ins.add("tracker.wf_completions", 1);
+                }
+            },
+        );
+    }
+
+    /// Enqueues `bytes` of an incoming copy of the chunk at `position`
+    /// on the comm stream, announcing the chunk's incoming feed first
+    /// when the device reduces.
+    pub(crate) fn receive(&mut self, position: usize, bytes: Bytes) {
+        let class = if self.reduce {
+            self.feed.announce(&self.grid, &mut self.chunks, position);
+            TrafficClass::RsUpdate
+        } else {
+            TrafficClass::AgWrite
+        };
+        self.mc
+            .enqueue(StreamId::Comm, class, bytes, self.update_cost);
+    }
+
+    /// Advances the producer GEMM at `now`. When a stage issues its
+    /// stores, routes them chunk by chunk: a remote route hands them to
+    /// `send(position, destination, bytes, ins)`, and every other route
+    /// writes them locally and, when the device reduces, counts them in
+    /// the Tracker. Returns the stage's WG end, if a stage ended.
+    pub(crate) fn step_gemm(
+        &mut self,
+        now: Cycle,
+        mut send: impl FnMut(usize, usize, Bytes, Option<&mut Instruments>),
+        mut ins: Option<&mut Instruments>,
+    ) -> Option<u64> {
+        let (stage, wg_start, wg_end, bytes, started, compute_cycles) =
+            match self.gemm.step(now, &mut self.mc) {
+                GemmEvent::Idle => return None,
+                GemmEvent::Finished => {
+                    self.gemm_done = true;
+                    return None;
+                }
+                GemmEvent::StageStoresIssued {
+                    stage,
+                    wg_start,
+                    wg_end,
+                    bytes,
+                    started,
+                    compute_cycles,
+                } => (stage, wg_start, wg_end, bytes, started, compute_cycles),
+            };
+        if let Some(ins) = reborrow(&mut ins) {
+            ins.record(
+                now,
+                Event::GemmStage {
+                    stage,
+                    wg_start,
+                    wg_end,
+                    start: started,
+                    end: now,
+                    bytes,
+                    compute_cycles,
+                },
+            );
+            ins.add("gemm.stages", 1);
+            ins.observe("gemm.stage_cycles", now - started);
+        }
+        if !self.first_stage_done {
+            // T3-MCA's first-stage memory-intensity probe (Section
+            // 4.5): the first stage ran before any communication
+            // traffic existed.
+            let frac = self.mc.avg_occupancy_fraction();
+            self.mc.observe_compute_intensity(frac);
+            self.first_stage_done = true;
+        }
+        for (pos, w0, w1) in split_at_chunks(&self.local_bounds, wg_start, wg_end) {
+            // Local WG offsets map 1:1 onto the chunk's global range,
+            // whose tiles size the stores.
+            let c = &mut self.chunks[pos];
+            let (g0, local0) = (c.wg_bounds.0, self.local_bounds[pos].0);
+            let global = (g0 + (w0 - local0), g0 + (w1 - local0));
+            let bytes = self.grid.wg_range_output_bytes(global.0, global.1);
+            match c.route {
+                ChunkRoute::RemoteUpdate { device } | ChunkRoute::RemoteStore { device } => {
+                    send(pos, device, bytes, reborrow(&mut ins));
+                }
+                route => {
+                    self.mc.enqueue(
+                        StreamId::Compute,
+                        TrafficClass::GemmWrite,
+                        bytes,
+                        self.update_cost,
+                    );
+                    if self.reduce {
+                        let updates = route.updates_per_element();
+                        c.triggered_wfs +=
+                            record_local_stores(&mut self.tracker, &self.grid, global, updates);
+                        self.scan_triggers = true;
+                    }
+                }
+            }
+        }
+        Some(wg_end)
+    }
+
+    /// Fires the DMA of every completed DMA-routed chunk, in position
+    /// order, on a step that counted a wavefront. An empty chunk (fewer
+    /// WGs than devices) completes at trigger, with nothing to read.
+    pub(crate) fn fire_triggers(&mut self, now: Cycle, mut ins: Option<&mut Instruments>) {
+        if !std::mem::take(&mut self.scan_triggers) {
+            return;
+        }
+        for c in &mut self.chunks {
+            let Some(dst) = c.fire_dma() else { continue };
+            let (id, bytes) = (c.global_chunk as u64, c.bytes);
+            if let Some(ins) = reborrow(&mut ins) {
+                ins.record(now, Event::DmaTriggerFire { chunk: id, bytes });
+                ins.add("dma.triggers_fired", 1);
+            }
+            self.dma.trigger(DmaCommand {
+                id,
+                dst,
+                bytes,
+                read_class: TrafficClass::RsRead,
+            });
+        }
+    }
+
+    /// Whether the device has nothing left to do: its GEMM is done,
+    /// every tracked chunk is complete and every queue has drained.
+    pub(crate) fn finished(&self) -> bool {
+        self.gemm_done
+            && (!self.reduce || self.chunks.iter().all(ChunkState::complete))
+            && self.feed.is_empty()
+            && self.dma.is_idle()
+            && self.mc.is_idle()
+    }
+
+    /// The earliest cycle after `now` at which the GEMM or the DMA
+    /// engine acts, as the controller stands (`None`: neither is timed).
+    pub(crate) fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        components_next_event(&self.gemm, &self.dma, &self.mc, now)
+    }
+
+    /// The controller counters a busy leap must stop at: the GEMM's
+    /// read target, the DMA source read and the incoming feed's front
+    /// region. Until one is reached nothing but the controller acts.
+    pub(crate) fn watches(&self) -> [Option<Watch>; 3] {
+        [
+            self.gemm.read_watch(),
+            self.dma.read_watch(),
+            self.feed.front_watch(TrafficClass::RsUpdate),
+        ]
+    }
+
+    /// Moves `clock` past the cycle just stepped, as
+    /// [`MemoryController::advance_clock`] does, for a loop stepping
+    /// this one device; `outside` is the earliest event beyond it. A
+    /// tracker fire can only follow a watched service or a GEMM store,
+    /// so a leap skips no fire.
+    pub(crate) fn advance_clock(
+        &mut self,
+        clock: &mut Clock,
+        outside: impl FnOnce() -> Option<Cycle>,
+        ts: Option<&mut TimeSeries>,
+        ins: Option<&mut Instruments>,
+    ) {
+        let now = clock.now();
+        let watches = self.watches();
+        let (gemm, dma) = (&self.gemm, &self.dma);
+        let leaped = self.mc.advance_clock(
+            clock,
+            |mc| {
+                let own = components_next_event(gemm, dma, mc, now);
+                own.into_iter().chain(outside()).min()
+            },
+            &watches,
+            ts,
+            ins,
+        );
+        self.busy_leap_cycles += leaped;
+        self.mc_ahead = leaped > 0;
+    }
+
+    /// Leaps the busy controller alone from `now` (already stepped)
+    /// toward `horizon`, stopping early at any of [`Device::watches`].
+    /// Returns the cycle it stopped at, where the device's other
+    /// components step next.
+    pub(crate) fn leap_busy(
+        &mut self,
+        now: Cycle,
+        horizon: Cycle,
+        ins: Option<&mut Instruments>,
+    ) -> Cycle {
+        let watches = self.watches();
+        let at = self.mc.advance_busy(now + 1, horizon, &watches, None, ins);
+        self.busy_leap_cycles += at - now;
+        self.mc_ahead = true;
+        at
+    }
+
+    /// Tracker high-water mark.
+    pub(crate) fn peak_tracker_entries(&self) -> usize {
+        self.tracker.peak_entries()
+    }
+
+    /// Books the device's end-of-run record at `end`: its work counters,
+    /// an LLC sample, and the cycle, DMA, Tracker, controller, LLC and
+    /// traffic metrics.
+    pub(crate) fn record_end(&self, end: Cycle, ins: &mut Instruments) {
+        let (hits, misses) = (self.gemm.plan().hits(), self.gemm.plan().misses());
+        ins.set_work("run.loop_steps", self.loop_steps);
+        ins.set_work("run.busy_leap_cycles", self.busy_leap_cycles);
+        ins.record(end, Event::LlcSample { hits, misses });
+        if let Some(m) = ins.metrics.as_mut() {
+            m.set("run.cycles", end);
+            m.set("dma.transfers", self.dma.sent_commands());
+            m.set("tracker.peak_entries", self.tracker.peak_entries() as u64);
+            m.set("mc.stream_switches", self.mc.stream_switches());
+            m.set("llc.hits", hits);
+            m.set("llc.misses", misses);
+            m.record_traffic(self.mc.stats());
+        }
+    }
+}
+
+/// The earliest of the GEMM's and the DMA engine's next events after
+/// `now`, as `mc` stands.
+fn components_next_event(
+    gemm: &GemmEngine,
+    dma: &DmaEngine,
+    mc: &MemoryController,
+    now: Cycle,
+) -> Option<Cycle> {
+    let gemm_at = gemm.next_event(now, mc);
+    gemm_at.into_iter().chain(dma.next_event(now, mc)).min()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,12 +660,6 @@ mod tests {
             let covered: u64 = regions.iter().map(|r| r.2 * elem_bytes).sum();
             assert_eq!(covered, bytes, "wg {wg} regions cover its tile");
         }
-        let all = (0, g.num_wgs());
-        assert_eq!(
-            count_nonempty_wfs(&g, all),
-            wf_regions(&g, all).count(),
-            "counting matches the walk"
-        );
     }
 
     #[test]
@@ -322,9 +684,9 @@ mod tests {
         // Half the bytes serviced: only whole regions count.
         feed.attribute(total / 2, &mut tracker, |e| fired.push((e.position, e.wf)));
         let half = fired.len();
-        assert!(half > 0 && half < count_nonempty_wfs(&g, wg0));
+        assert!(half > 0 && half < wf_regions(&g, wg0).count());
         feed.attribute(total, &mut tracker, |e| fired.push((e.position, e.wf)));
-        assert_eq!(fired.len(), count_nonempty_wfs(&g, wg0));
+        assert_eq!(fired.len(), wf_regions(&g, wg0).count());
         assert!(fired.iter().all(|&(pos, wf)| pos == 3 && wf.wg == 0));
         assert!(feed.is_empty());
     }

@@ -4,10 +4,13 @@
 //! The paper (and [`crate::engine`]) exploit the homogeneity of
 //! tensor-parallel execution to simulate one GPU and mirror its
 //! outgoing traffic as the incoming stream (Section 5.1.1). This
-//! module drops that assumption: all `N` GPUs run their own GEMM
-//! engine, memory controller, Tracker and DMA engine, and every chunk
-//! travels over a [`t3_topo::Fabric`] from its producer to its
-//! consumer — contending per hop with everything else on the wire.
+//! module drops that assumption: each of the `N` GPUs is its own
+//! `kernel::Device`, the same fused device (GEMM engine, memory
+//! controller, Tracker and DMA engine) the mirrored engine steps once,
+//! and every chunk travels over a [`t3_topo::Fabric`] from its producer
+//! to its consumer, contending per hop with everything else on the
+//! wire. The engine owns only the fabric, each device's inbox and the
+//! clock.
 //! What the LLC does to the GEMM does not depend on time, so the
 //! devices share one [`LlcPlan`] instead of each walking a cache.
 //!
@@ -60,10 +63,10 @@
 //!   controller (and no DMA source read to start next cycle) leaps that
 //!   controller alone with `MemoryController::advance_busy`, up to its
 //!   GEMM's next event, its next arrival or the window end, stopping
-//!   early where its GEMM read, DMA source read or incoming feed front
-//!   is reached. It is skipped until that landing cycle, where its other
-//!   components step without a second controller step. The loop stays
-//!   cycle-major.
+//!   early at one of its `Device::watches` (its GEMM read, DMA source
+//!   read or incoming feed front). It is skipped until that landing
+//!   cycle, where its other components step without a second
+//!   controller step. The loop stays cycle-major.
 //! * When every memory controller is idle or leaped ahead, the clock
 //!   leaps to the earliest device event, landing or pending arrival.
 //!
@@ -77,19 +80,16 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::addrmap::{ChunkRoute, OutputConfig};
+use crate::addrmap::OutputConfig;
 use crate::engine::{FusedOptions, FusedRunResult};
-use crate::kernel::{record_local_stores, split_at_chunks, ChunkState, Feed};
-use crate::tracker::{Tracker, TrackerConfig};
-use t3_gpu::engine::{GemmEngine, GemmEvent};
+use crate::kernel::{ChunkState, Device};
 use t3_gpu::gemm::GemmGrid;
 use t3_gpu::llc_plan::LlcPlan;
-use t3_mem::controller::{MemoryController, StreamId};
-use t3_net::dma::{DmaCommand, DmaEngine};
+use t3_net::dma::DmaCommand;
 use t3_net::ring::Ring;
 use t3_sim::clock::Clock;
 use t3_sim::config::SystemConfig;
-use t3_sim::stats::{TrafficClass, TrafficStats};
+use t3_sim::stats::TrafficStats;
 use t3_sim::{Bytes, Cycle};
 use t3_topo::{Arrival, Fabric, Schedule, Topology};
 use t3_trace::{reborrow, Event, Instruments};
@@ -128,50 +128,17 @@ impl MultiGpuResult {
     }
 }
 
-/// One simulated GPU.
+/// One simulated GPU: its fused device, plus what the explicit loop
+/// keeps per device.
 struct Gpu {
-    mc: MemoryController,
-    gemm: GemmEngine,
-    tracker: Tracker,
-    /// The device's routes; maps an arriving chunk id to its position.
+    dev: Device,
+    /// The device's routes; maps a chunk position to its id and back.
     config: OutputConfig,
-    /// Per-position chunk state; each chunk's `wg_bounds` are its
-    /// *global* WG range (its memory regions).
-    chunks: Vec<ChunkState>,
-    /// Per-position WG bounds in the device's execution order.
-    local_bounds: Vec<(u64, u64)>,
-    feed: Feed,
-    /// Fired DMAs: their source reads, one in flight, in fire order.
-    dma: DmaEngine,
-    first_stage_done: bool,
-    gemm_done: bool,
-    /// Set whenever a chunk counts a wavefront: only then can a DMA
-    /// trigger become due.
-    scan_triggers: bool,
     finished_at: Option<Cycle>,
     /// The next event as predicted after the device's last step.
     next: Option<Cycle>,
-    /// Set by a busy leap: the controller has already stepped through
-    /// `next`, where the device's other components step next.
-    mc_ahead: bool,
     /// The first cycle the device has neither stepped nor replayed.
     synced: Cycle,
-    /// Work counters: device steps, and controller cycles busy leaps
-    /// stepped.
-    loop_steps: u64,
-    busy_leap_cycles: u64,
-}
-
-impl Gpu {
-    /// Whether the device has nothing left to do: its GEMM is done,
-    /// every chunk is complete and every queue has drained.
-    fn finished(&self) -> bool {
-        self.mc.is_idle()
-            && self.gemm_done
-            && self.dma.is_idle()
-            && self.feed.is_empty()
-            && self.chunks.iter().all(ChunkState::complete)
-    }
 }
 
 /// Sends a Tracker-fired DMA chunk; when instrumented, also records the
@@ -204,12 +171,7 @@ fn send_dma(
         },
     );
     ins.add("dma.chunks_sent", 1);
-}
-
-/// Read-only per-run parameters shared by every device step.
-struct StepCtx<'a> {
-    grid: &'a GemmGrid,
-    update_cost: f64,
+    ins.add("dma.bytes_sent", bytes);
 }
 
 /// Runs the fused GEMM-RS with every GPU simulated explicitly, on the
@@ -265,51 +227,29 @@ fn build_run(
             } else {
                 OutputConfig::from_reduce_scatter_schedule(&sched, d)
             };
-            let mut chunks = Vec::with_capacity(n);
-            let mut local_bounds = Vec::with_capacity(n);
-            let mut cursor = 0u64;
-            for p in 0..n {
-                let global_chunk = config.chunk_id(p);
-                let incoming_passes = if is_ring {
-                    usize::from(p >= 1)
-                } else {
-                    sched
-                        .sends()
-                        .filter(|s| s.dst == d && s.chunk == global_chunk)
-                        .count()
-                };
-                let (g0, g1) = grid.chunk_wg_bounds(n as u64, global_chunk as u64);
-                local_bounds.push((cursor, cursor + (g1 - g0)));
-                cursor += g1 - g0;
-                chunks.push(ChunkState::new(
-                    grid,
-                    global_chunk,
-                    (g0, g1),
-                    config.route(p),
-                    incoming_passes,
-                ));
-            }
+            let chunks = (0..n)
+                .map(|p| {
+                    let global_chunk = config.chunk_id(p);
+                    let incoming_passes = if is_ring {
+                        usize::from(p >= 1)
+                    } else {
+                        sched
+                            .sends()
+                            .filter(|s| s.dst == d && s.chunk == global_chunk)
+                            .count()
+                    };
+                    let bounds = grid.chunk_wg_bounds(n as u64, global_chunk as u64);
+                    ChunkState::new(grid, global_chunk, bounds, config.route(p), incoming_passes)
+                })
+                .collect();
             Gpu {
-                mc: MemoryController::new(&sys.mem, opts.policy.build(sys)),
-                gemm: GemmEngine::new(&sys.gpu, Arc::clone(&plan)),
-                tracker: Tracker::new(TrackerConfig::paper(grid.wf_tile_elems())),
+                dev: Device::new(sys, opts, Arc::clone(&plan), chunks),
                 config,
-                chunks,
-                local_bounds,
-                feed: Feed::new(grid),
-                dma: DmaEngine::new(),
-                first_stage_done: false,
-                gemm_done: false,
-                // Chunks with no wavefronts fire on the first scan.
-                scan_triggers: true,
                 finished_at: None,
                 // Every device steps at cycle 0, where its GEMM engine
                 // re-anchors its launch.
                 next: Some(0),
-                mc_ahead: false,
                 synced: 0,
-                loop_steps: 0,
-                busy_leap_cycles: 0,
             }
         })
         .collect();
@@ -319,167 +259,45 @@ fn build_run(
 /// Feeds one fabric arrival into its device's memory controller (phase
 /// A of a device's cycle). `ins` must be `Some` only for the
 /// instrumented device.
-fn deliver_incoming(
-    gpu: &mut Gpu,
-    now: Cycle,
-    arrival: Arrival,
-    ctx: &StepCtx,
-    ins: Option<&mut Instruments>,
-) {
+fn deliver_incoming(gpu: &mut Gpu, now: Cycle, arrival: Arrival, ins: Option<&mut Instruments>) {
+    let (chunk, bytes) = (arrival.tag, arrival.bytes);
     if let Some(ins) = ins {
-        ins.record(
-            now,
-            Event::ChunkRecv {
-                chunk: arrival.tag,
-                bytes: arrival.bytes,
-            },
-        );
+        ins.record(now, Event::ChunkRecv { chunk, bytes });
         ins.add("chunks.received", 1);
     }
-    let pos = gpu.config.position_of_chunk(arrival.tag as usize);
-    gpu.feed.announce(ctx.grid, &mut gpu.chunks, pos);
-    gpu.mc.enqueue(
-        StreamId::Comm,
-        TrafficClass::RsUpdate,
-        arrival.bytes,
-        ctx.update_cost,
-    );
+    let pos = gpu.config.position_of_chunk(chunk as usize);
+    gpu.dev.receive(pos, bytes);
 }
 
-/// One device's full per-cycle step: memory controller (unless a busy
-/// leap already stepped it here), incoming update attribution, GEMM
-/// progress, DMA engine, trigger fires and completion bookkeeping.
-/// Outgoing traffic goes straight into `fabric`. `ins` must be `Some`
-/// only for the instrumented device.
+/// One device's full per-cycle step through the device phases; remote
+/// stores and DMA'd chunks go straight into `fabric`, tagged with their
+/// chunk id. `ins` must be `Some` only for the instrumented device.
 fn step_device(
     gpu: &mut Gpu,
     d: usize,
     now: Cycle,
-    ctx: &StepCtx,
     fabric: &mut Fabric,
     mut ins: Option<&mut Instruments>,
 ) {
-    gpu.loop_steps += 1;
-    if !std::mem::take(&mut gpu.mc_ahead) {
-        gpu.mc.step_traced(now, None, reborrow(&mut ins));
-    }
-
-    // Attribute serviced incoming updates.
-    let (chunks, scan) = (&mut gpu.chunks, &mut gpu.scan_triggers);
-    gpu.feed.attribute(
-        gpu.mc.stats().bytes(TrafficClass::RsUpdate),
-        &mut gpu.tracker,
-        |e| {
-            chunks[e.position].triggered_wfs += 1;
-            *scan = true;
+    let (dev, config) = (&mut gpu.dev, &gpu.config);
+    dev.step_memory(now, None, reborrow(&mut ins));
+    dev.step_gemm(
+        now,
+        |pos, dst, bytes, ins| {
+            let tag = config.chunk_id(pos) as u64;
+            fabric.send_traced(now, d, dst, tag, bytes, ins);
         },
+        reborrow(&mut ins),
     );
-
-    // GEMM progress.
-    match gpu.gemm.step(now, &mut gpu.mc) {
-        GemmEvent::Idle => {}
-        GemmEvent::Finished => gpu.gemm_done = true,
-        GemmEvent::StageStoresIssued {
-            stage,
-            wg_start,
-            wg_end,
-            bytes,
-            started,
-            compute_cycles,
-        } => {
-            if let Some(ins) = reborrow(&mut ins) {
-                ins.record(
-                    now,
-                    Event::GemmStage {
-                        stage,
-                        wg_start,
-                        wg_end,
-                        start: started,
-                        end: now,
-                        bytes,
-                        compute_cycles,
-                    },
-                );
-                ins.add("gemm.stages", 1);
-            }
-            if !gpu.first_stage_done {
-                let frac = gpu.mc.avg_occupancy_fraction();
-                gpu.mc.observe_compute_intensity(frac);
-                gpu.first_stage_done = true;
-            }
-            for (pos, w0, w1) in split_at_chunks(&gpu.local_bounds, wg_start, wg_end) {
-                // Local WG offsets map 1:1 onto the chunk's rotated
-                // global range, whose tiles size the stores.
-                let c = &mut gpu.chunks[pos];
-                let (g0, local0) = (c.wg_bounds.0, gpu.local_bounds[pos].0);
-                let global = (g0 + (w0 - local0), g0 + (w1 - local0));
-                let bytes = ctx.grid.wg_range_output_bytes(global.0, global.1);
-                match c.route {
-                    ChunkRoute::RemoteUpdate { device } => {
-                        let tag = c.global_chunk as u64;
-                        fabric.send_traced(now, d, device, tag, bytes, reborrow(&mut ins));
-                    }
-                    ChunkRoute::LocalOnly {
-                        updates_per_element,
-                    }
-                    | ChunkRoute::LocalThenDmaUpdate {
-                        updates_per_element,
-                        ..
-                    } => {
-                        gpu.mc.enqueue(
-                            StreamId::Compute,
-                            TrafficClass::GemmWrite,
-                            bytes,
-                            ctx.update_cost,
-                        );
-                        c.triggered_wfs += record_local_stores(
-                            &mut gpu.tracker,
-                            ctx.grid,
-                            global,
-                            updates_per_element,
-                        );
-                        gpu.scan_triggers = true;
-                    }
-                    _ => unreachable!("fused RS uses no other routes"),
-                }
-            }
-        }
-    }
-
-    // DMA engine: a completed source read goes into the fabric.
-    if let Some(cmd) = gpu.dma.step(&mut gpu.mc) {
+    if let Some(cmd) = dev.dma.step(&mut dev.mc) {
         send_dma(fabric, now, d, cmd, reborrow(&mut ins));
     }
-    // Fire DMAs for completed steady-state chunks, in position order,
-    // on a step that counted a wavefront.
-    if std::mem::take(&mut gpu.scan_triggers) {
-        for c in &mut gpu.chunks {
-            let Some(dst) = c.fire_dma() else { continue };
-            if let Some(ins) = reborrow(&mut ins) {
-                ins.record(
-                    now,
-                    Event::DmaTriggerFire {
-                        chunk: c.global_chunk as u64,
-                        bytes: c.bytes,
-                    },
-                );
-                ins.add("dma.triggers_fired", 1);
-            }
-            // An empty chunk (fewer WGs than devices) completes at
-            // trigger, with nothing to read or send.
-            gpu.dma.trigger(DmaCommand {
-                id: c.global_chunk as u64,
-                dst,
-                bytes: c.bytes,
-                read_class: TrafficClass::RsRead,
-            });
-        }
-    }
+    dev.fire_triggers(now, reborrow(&mut ins));
 
     // Completion bookkeeping (fabric payloads may still be in
     // flight toward a peer; that time belongs to the receiver,
     // which cannot finish before consuming them).
-    if gpu.finished_at.is_none() && gpu.finished() {
+    if gpu.finished_at.is_none() && dev.finished() {
         gpu.finished_at = Some(now);
     }
 }
@@ -491,46 +309,34 @@ fn step_device(
 /// A busy memory controller or a pending DMA (queued or reading) pins
 /// the very next cycle: the controller services every cycle, and the
 /// engine polls the DMA every cycle.
-fn device_next_event(gpu: &Gpu, now: Cycle) -> Option<Cycle> {
-    if !gpu.mc.is_idle() || !gpu.dma.is_idle() {
+fn device_next_event(dev: &Device, now: Cycle) -> Option<Cycle> {
+    if !dev.mc.is_idle() || !dev.dma.is_idle() {
         return Some(now + 1);
     }
-    gpu.gemm.next_event(now, &gpu.mc)
+    dev.next_event(now)
 }
 
 /// In fast-forward mode, leaps the busy controller of a device that
 /// has just stepped at `now` to the cycle before its next event, where
-/// its other components must step again: the earliest of its GEMM's
+/// its other components must step again: the earliest of its own
 /// `next_event`, its next pre-popped arrival (`arrival`) and the
-/// window end, or earlier, the first cycle a watch is reached (the
-/// GEMM's read target, the DMA source read, the incoming feed's front
-/// region). Until then nothing but the controller can act, exactly as
+/// window end, or earlier, the first cycle one of its watches is
+/// reached. Until then nothing but the controller can act, exactly as
 /// in the mirrored loop. A DMA read due to start next cycle pins the
 /// device to one-cycle steps. Returns the cycle the controller stopped
 /// at, `None` for no leap.
 fn leap_busy(
-    gpu: &mut Gpu,
+    dev: &mut Device,
     now: Cycle,
     clock: &Clock,
     arrival: Option<Cycle>,
     ins: Option<&mut Instruments>,
 ) -> Option<Cycle> {
-    if gpu.mc.is_idle() {
+    if dev.mc.is_idle() {
         return None;
     }
-    let horizon = clock.busy_horizon(|| {
-        let gemm = gpu.gemm.next_event(now, &gpu.mc);
-        let dma = gpu.dma.next_event(now, &gpu.mc);
-        gemm.into_iter().chain(dma).chain(arrival).min()
-    })?;
-    let watches = [
-        gpu.gemm.read_watch(),
-        gpu.dma.read_watch(),
-        gpu.feed.front_watch(TrafficClass::RsUpdate),
-    ];
-    let at = gpu.mc.advance_busy(now + 1, horizon, &watches, None, ins);
-    gpu.busy_leap_cycles += at - now;
-    Some(at)
+    let horizon = clock.busy_horizon(|| dev.next_event(now).into_iter().chain(arrival).min())?;
+    Some(dev.leap_busy(now, horizon, ins))
 }
 
 /// Runs the fused GEMM + reduce-scatter with every GPU simulated
@@ -559,10 +365,6 @@ pub fn run_multi_gpu_fused_rs_on(
     mut ins: Option<&mut Instruments>,
 ) -> MultiGpuResult {
     let (mut gpus, mut fabric) = build_run(sys, &grid, opts, topo);
-    let ctx = StepCtx {
-        grid: &grid,
-        update_cost: opts.substrate.update_cost_multiplier(&sys.mem),
-    };
     // Every hop costs at least one serialisation cycle plus the link
     // latency, so nothing sent inside a window lands within it.
     let window: Cycle = 1 + topo
@@ -585,30 +387,33 @@ pub fn run_multi_gpu_fused_rs_on(
                 // A device whose controller leaped ahead is due on
                 // landing, even when the leap drained it: only its
                 // components' step there can book its completion.
-                let busy = !gpu.mc.is_idle() && !gpu.mc_ahead;
+                let ahead = gpu.dev.mc_ahead;
+                let busy = !gpu.dev.mc.is_idle() && !ahead;
                 let due = clock.due(gpu.next) || busy;
-                if !(arrived || due && (gpu.mc_ahead || !gpu.finished())) {
+                if !(arrived || due && (ahead || !gpu.dev.finished())) {
                     continue;
                 }
                 let mut dev_ins = if d == 0 { reborrow(&mut ins) } else { None };
-                gpu.mc.skip_idle(gpu.synced, now, reborrow(&mut dev_ins));
+                gpu.dev
+                    .mc
+                    .skip_idle(gpu.synced, now, reborrow(&mut dev_ins));
                 while let Some(&arrival) = pend.front().filter(|a| a.arrival <= now) {
                     pend.pop_front();
-                    deliver_incoming(gpu, now, arrival, &ctx, reborrow(&mut dev_ins));
+                    deliver_incoming(gpu, now, arrival, reborrow(&mut dev_ins));
                 }
-                step_device(gpu, d, now, &ctx, &mut fabric, reborrow(&mut dev_ins));
-                gpu.next = device_next_event(gpu, now);
+                step_device(gpu, d, now, &mut fabric, reborrow(&mut dev_ins));
+                gpu.next = device_next_event(&gpu.dev, now);
                 gpu.synced = now + 1;
                 let arrival = pend.front().map(|a| a.arrival);
-                if let Some(at) = leap_busy(gpu, now, &clock, arrival, dev_ins) {
-                    (gpu.next, gpu.mc_ahead, gpu.synced) = (Some(at), true, at + 1);
+                if let Some(at) = leap_busy(&mut gpu.dev, now, &clock, arrival, dev_ins) {
+                    (gpu.next, gpu.synced) = (Some(at), at + 1);
                 }
             }
             // A finished device has no next event, so the leap waits
             // only on unfinished devices and arrivals; a device whose
             // controller leaped ahead waits on its landing cycle.
             // Skipped devices replay the leaped gap themselves.
-            let quiescent = gpus.iter().all(|g| g.mc.is_idle() || g.mc_ahead);
+            let quiescent = gpus.iter().all(|g| g.dev.mc.is_idle() || g.dev.mc_ahead);
             clock.advance(quiescent, || {
                 let devices = gpus.iter().filter_map(|g| g.next);
                 let arrivals = pending.iter().filter_map(|p| p.front());
@@ -621,7 +426,7 @@ pub fn run_multi_gpu_fused_rs_on(
             "window left arrivals unconsumed"
         );
         debug_assert!(
-            gpus.iter().all(|g| !g.mc_ahead),
+            gpus.iter().all(|g| !g.dev.mc_ahead),
             "a busy leap crossed the window end"
         );
 
@@ -630,7 +435,7 @@ pub fn run_multi_gpu_fused_rs_on(
         }
         // With every controller drained, nothing happens before the
         // next device event or fabric arrival.
-        let drained = gpus.iter().all(|g| g.mc.is_idle());
+        let drained = gpus.iter().all(|g| g.dev.mc.is_idle());
         clock.open_window(window, drained, || {
             let devices = gpus.iter().filter_map(|g| g.next);
             devices.chain(fabric.next_event(t_end - 1)).min()
@@ -644,36 +449,21 @@ pub fn run_multi_gpu_fused_rs_on(
     let end = cycles.max(fabric.busy_until()) + 1;
     for (d, gpu) in gpus.iter_mut().enumerate() {
         let dev_ins = if d == 0 { reborrow(&mut ins) } else { None };
-        gpu.mc.skip_idle(gpu.synced, end, dev_ins);
+        gpu.dev.mc.skip_idle(gpu.synced, end, dev_ins);
     }
 
     let result = MultiGpuResult {
         cycles,
         skew: cycles - per_gpu_cycles.iter().copied().fold(cycles, Cycle::min),
-        per_gpu_stats: gpus.iter().map(|g| g.mc.stats().clone()).collect(),
-        dma_transfers: gpus.iter().map(|g| g.dma.sent_commands()).sum(),
+        per_gpu_stats: gpus.iter().map(|g| g.dev.mc.stats().clone()).collect(),
+        dma_transfers: gpus.iter().map(|g| g.dev.dma.sent_commands()).sum(),
         link_bytes: fabric.link_bytes(),
         per_gpu_cycles,
     };
     if let Some(ins) = ins {
-        let gpu0 = &gpus[0];
-        ins.record(
-            result.cycles,
-            Event::LlcSample {
-                hits: gpu0.gemm.plan().hits(),
-                misses: gpu0.gemm.plan().misses(),
-            },
-        );
-        ins.set_work("run.loop_steps", gpu0.loop_steps);
-        ins.set_work("run.busy_leap_cycles", gpu0.busy_leap_cycles);
+        gpus[0].dev.record_end(result.cycles, ins);
         if let Some(m) = ins.metrics.as_mut() {
-            m.set("run.cycles", result.cycles);
             m.set("run.skew", result.skew);
-            m.set("dma.transfers", result.dma_transfers);
-            m.set("tracker.peak_entries", gpu0.tracker.peak_entries() as u64);
-            m.set("llc.hits", gpu0.gemm.plan().hits());
-            m.set("llc.misses", gpu0.gemm.plan().misses());
-            m.record_traffic(gpu0.mc.stats());
         }
     }
     result
@@ -705,6 +495,7 @@ mod tests {
     use t3_gpu::gemm::GemmShape;
     use t3_sim::config::LinkConfig;
     use t3_sim::SimMode;
+    use t3_trace::{Detail, Tracer};
 
     fn sys() -> SystemConfig {
         SystemConfig::paper_default()
@@ -767,7 +558,7 @@ mod tests {
             let (gpus, _) = build_run(&s, &grid, &FusedOptions::default(), &topo);
             let ring = Ring::new(n);
             for (d, gpu) in gpus.iter().enumerate() {
-                for (p, c) in gpu.chunks.iter().enumerate() {
+                for (p, c) in gpu.dev.chunks.iter().enumerate() {
                     assert_eq!(c.global_chunk, (d + p) % n, "n={n} d={d} p={p}");
                     let expected = (p < n - 1).then(|| ring.prev(d));
                     assert_eq!(c.route.destination(), expected, "n={n} d={d} p={p}");
@@ -788,16 +579,20 @@ mod tests {
         assert_eq!(format!("{stepped:?}"), format!("{fast:?}"));
     }
 
-    /// A run instrumenting device 0: the result, device 0's trace
-    /// records and metrics JSON, and its work counters
-    /// (`run.loop_steps`, `run.busy_leap_cycles`).
+    /// A run instrumenting device 0 at fine detail: the result, device
+    /// 0's trace records (per-wavefront Tracker updates included) and
+    /// metrics JSON, and its work counters (`run.loop_steps`,
+    /// `run.busy_leap_cycles`).
     fn instrumented(
         s: &SystemConfig,
         grid: &GemmGrid,
         topo: &Topology,
         mode: SimMode,
     ) -> (String, String, String, (u64, u64)) {
-        let mut ins = Instruments::full();
+        let mut ins = Instruments {
+            tracer: Some(Tracer::with_detail(Detail::Fine)),
+            ..Instruments::full()
+        };
         let r = run_multi_gpu_fused_rs_on(s, grid.clone(), &opts_in(mode), topo, Some(&mut ins));
         let records = ins.tracer.as_ref().expect("tracer on").records();
         let m = ins.metrics.as_ref().expect("metrics on");

@@ -19,4 +19,10 @@ impl Region {
         let left = (self.elems as f64 * self.cost).ceil() as u64;
         Some(Watch::Class(self.class, self.attributed + left))
     }
+
+    /// A busy leap's stop set: the floor names a byte before the
+    /// region's last one, so the leap stops short of the real target.
+    pub fn watches(&self) -> [Option<Watch>; 1] {
+        [Some(Watch::Class(self.class, self.attributed + self.elems / 2))]
+    }
 }

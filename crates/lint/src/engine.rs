@@ -210,13 +210,20 @@ fn match_brace(toks: &[Token], open: usize) -> usize {
 }
 
 /// From item-keyword position, the index of the `{` opening its body —
-/// `None` when a `;` ends the item first (trait method, `mod x;`).
+/// `None` when a `;` ends the item first (trait method, `mod x;`). A
+/// `;` inside brackets (an array type such as `[u8; 4]` in the
+/// signature) ends nothing.
 fn body_open(toks: &[Token], from: usize) -> Option<usize> {
+    let mut depth = 0usize;
     for (i, t) in toks.iter().enumerate().skip(from) {
         if t.is_punct('{') {
             return Some(i);
         }
-        if t.is_punct(';') {
+        if t.is_punct('[') || t.is_punct('(') {
+            depth += 1;
+        } else if t.is_punct(']') || t.is_punct(')') {
+            depth = depth.saturating_sub(1);
+        } else if t.is_punct(';') && depth == 0 {
             return None;
         }
     }
@@ -327,9 +334,10 @@ pub fn is_hot_fn_name(name: &str) -> bool {
 
 /// True when `name` denotes a fast-forward event predictor: the
 /// `next_event` methods themselves plus the `next_arrival` and
-/// `*_next_event` variants, and the `*_watch` accessors that hand a
-/// busy leap the controller counter target a component waits on
-/// (`read_watch`, `front_watch`). Test names that merely *start* with
+/// `*_next_event` variants, the `*_watch` accessors that hand a busy
+/// leap the controller counter target a component waits on
+/// (`read_watch`, `front_watch`), and the `*watches` accessors that
+/// gather a device's stop set (`Device::watches`). Test names that merely *start* with
 /// `next_event_` (e.g. `next_event_is_exact`) are deliberately not
 /// matched — they assert on predictors rather than being one.
 pub fn is_next_event_fn_name(name: &str) -> bool {
@@ -337,6 +345,7 @@ pub fn is_next_event_fn_name(name: &str) -> bool {
         || name == "next_arrival"
         || name.ends_with("_next_event")
         || name.ends_with("_watch")
+        || name.ends_with("watches")
 }
 
 /// Finds the token-range bodies of functions whose name satisfies

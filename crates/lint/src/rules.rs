@@ -210,7 +210,7 @@ pub const RULES: &[RuleInfo] = &[
         name: "next-event-drift",
         code: "T3L010",
         summary: "division or float math inside a `next_event`/`next_arrival` fast-forward \
-                  predictor or a `*_watch` busy-leap accessor body in a timing crate",
+                  predictor or a `*_watch`/`*watches` busy-leap accessor body in a timing crate",
         rationale: "The fast-forward engines leap `now` straight to the minimum predicted next \
                     event and replay the skipped cycles in closed form. A predictor stays sound \
                     only when it reuses the stepped path's exact integer arithmetic: a \
@@ -219,7 +219,7 @@ pub const RULES: &[RuleInfo] = &[
                     and fast-forward runs diverge with no panic, just wrong bytes. Predictors \
                     must derive events from stored integer deadlines (arrival cycles, `until` \
                     phases, `now + 1`), never re-derive them by dividing rates. The same holds \
-                    for the `*_watch` accessors a busy leap stops on: a watch must be a stored \
+                    for the `*_watch`/`*watches` accessors a busy leap stops on: a watch must be a stored \
                     integer byte count on a counter the controller keeps, or the leap can run \
                     past the cycle the component acts.",
         example: "    fn next_event(&self, now: Cycle) -> Option<Cycle> {\n\
@@ -427,7 +427,7 @@ pub fn check_panic_hot_path(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
 /// Fires on any `/` or `%` operator, float literal, or float marker
 /// (`f32`/`f64`/`ceil`/`floor`/`round`/`powi`/`powf`) inside the body
 /// of a `fn next_event`/`next_arrival`/`*_next_event` or a busy-leap
-/// `fn *_watch` accessor in a timing crate, outside test code. The stepped engines compute transfer and
+/// `fn *_watch`/`fn *watches` accessor in a timing crate, outside test code. The stepped engines compute transfer and
 /// stage durations once, at enqueue time, with direction-explicit
 /// rounding; a predictor that divides or rounds again can disagree
 /// with that stored deadline and return a too-late cycle — the one

@@ -387,10 +387,10 @@ fn next_event_drift_fires_on_a_float_derived_watch() {
         .map(|d| d.anchor.as_str())
         .collect();
     // The float `ceil` and the `f64` cast (T3L003 also flags the
-    // truncation into `u64`).
+    // truncation into `u64`), and the division in the stop set.
     assert_eq!(
         drift,
-        vec!["front_watch.ceil", "front_watch.f64"],
+        vec!["front_watch.ceil", "front_watch.f64", "watches./"],
         "{diags:?}"
     );
 }

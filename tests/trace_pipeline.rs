@@ -4,10 +4,14 @@
 //! cross-checked against [`TrafficStats`], and the Chrome trace-event
 //! exporter producing structurally valid, cycle-ordered JSON.
 
+use std::collections::BTreeSet;
+
 use t3::core::engine::{run_fused_gemm_rs, run_fused_gemm_rs_instrumented, FusedOptions};
+use t3::core::multigpu::run_multi_gpu_fused_rs_on;
 use t3::gpu::gemm::{GemmGrid, GemmShape};
 use t3::sim::config::SystemConfig;
 use t3::sim::stats::TrafficClass;
+use t3::topo::Topology;
 use t3::trace::chrome::chrome_trace_json;
 use t3::trace::{Detail, Event, Instruments, Tracer};
 
@@ -95,38 +99,86 @@ fn traffic_metrics_match_traffic_stats() {
     assert_eq!(metrics.counter("traffic.total.bytes"), run.stats.total());
 }
 
+/// The mirrored ring with `ins` attached.
+fn mirrored_ring(ins: &mut Instruments) {
+    let (sys, shape) = small_system();
+    let grid = GemmGrid::new(&sys.gpu, shape);
+    run_fused_gemm_rs_instrumented(&sys, grid, &FusedOptions::default(), Some(ins));
+}
+
+/// The explicit ring with `ins` attached to device 0.
+fn explicit_ring(ins: &mut Instruments) {
+    let (sys, shape) = small_system();
+    let grid = GemmGrid::new(&sys.gpu, shape);
+    let topo = Topology::ring(sys.num_gpus, &sys.link);
+    let opts = FusedOptions::default();
+    run_multi_gpu_fused_rs_on(&sys, grid, &opts, &topo, Some(ins));
+}
+
 /// Tracker-table updates are only recorded at `Detail::Fine`, and at
-/// that level one per wavefront completion.
+/// that level one per wavefront completion, in both engines.
 #[test]
 fn tracker_updates_gated_behind_fine_detail() {
-    let (sys, shape) = small_system();
-    let opts = FusedOptions::default();
+    type Run = fn(&mut Instruments);
+    let engines: [(&str, Run); 2] = [("mirrored", mirrored_ring), ("explicit", explicit_ring)];
+    let updates = |ins: &Instruments| {
+        let tracer = ins.tracer.as_ref().unwrap();
+        tracer.count(|e| matches!(e, Event::TrackerUpdate { .. }))
+    };
+    for (name, run) in engines {
+        let mut coarse = Instruments::full();
+        run(&mut coarse);
+        assert_eq!(updates(&coarse), 0, "{name}");
 
-    let mut coarse = Instruments::full();
-    run_fused_gemm_rs_instrumented(
-        &sys,
-        GemmGrid::new(&sys.gpu, shape),
-        &opts,
-        Some(&mut coarse),
-    );
-    let coarse_tracer = coarse.tracer.as_ref().unwrap();
-    assert_eq!(
-        coarse_tracer.count(|e| matches!(e, Event::TrackerUpdate { .. })),
-        0
-    );
+        let mut fine = Instruments::full();
+        fine.tracer = Some(Tracer::with_detail(Detail::Fine));
+        run(&mut fine);
+        let completions = fine
+            .metrics
+            .as_ref()
+            .unwrap()
+            .counter("tracker.wf_completions");
+        assert_eq!(updates(&fine) as u64, completions, "{name}");
+        assert!(completions > 0, "{name}");
+    }
+}
 
-    let mut fine = Instruments::full();
-    fine.tracer = Some(Tracer::with_detail(Detail::Fine));
-    run_fused_gemm_rs_instrumented(&sys, GemmGrid::new(&sys.gpu, shape), &opts, Some(&mut fine));
-    let fine_tracer = fine.tracer.as_ref().unwrap();
-    let updates = fine_tracer.count(|e| matches!(e, Event::TrackerUpdate { .. }));
-    let completions = fine
-        .metrics
+/// Both engines book device 0's metrics under the same keys (the
+/// explicit one adds `run.skew`), and each DMA transfer is one fire
+/// and one send of the chunk's bytes.
+#[test]
+fn device_zero_metrics_share_one_scope_across_engines() {
+    let keys = |ins: &Instruments| {
+        let m = ins.metrics.as_ref().unwrap();
+        let counters = m.counters().map(|(k, _)| k.to_string());
+        let histograms = m.histograms().map(|(k, _)| k.to_string());
+        counters.chain(histograms).collect::<BTreeSet<_>>()
+    };
+    let mut mirrored = Instruments::full();
+    mirrored_ring(&mut mirrored);
+    let mut explicit = Instruments::full();
+    explicit_ring(&mut explicit);
+    let mut want = keys(&mirrored);
+    want.insert("run.skew".to_string());
+    assert_eq!(keys(&explicit), want);
+
+    let m = explicit.metrics.as_ref().unwrap();
+    let transfers = m.counter("dma.transfers");
+    assert!(transfers > 0);
+    assert_eq!(m.counter("dma.chunks_sent"), transfers);
+    assert_eq!(m.counter("dma.triggers_fired"), transfers);
+    let sent: u64 = explicit
+        .tracer
         .as_ref()
         .unwrap()
-        .counter("tracker.wf_completions");
-    assert_eq!(updates as u64, completions);
-    assert!(updates > 0);
+        .records()
+        .iter()
+        .filter_map(|r| match r.event {
+            Event::ChunkSend { bytes, .. } => Some(bytes),
+            _ => None,
+        })
+        .sum();
+    assert_eq!(m.counter("dma.bytes_sent"), sent);
 }
 
 /// The Chrome exporter emits structurally valid, cycle-ordered JSON
